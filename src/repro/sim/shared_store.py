@@ -10,20 +10,32 @@ views** — the OS page cache makes a fleet share one physical copy.
 
 Layout (one directory per store)::
 
-    index.json     # digest -> {file, size, kind, meta, arrays[], pid}
+    index.jsonl    # append-only log: {"version": N} header line, then one
+                   # {digest, file, size, kind, meta, arrays[], pid, sha256}
+                   # line per published entry
     <digest>.bin   # the entry's arrays, raw C-order bytes, 64-byte aligned
     stats.jsonl    # append-only event log ("store"/"hit" + pid), optional
-    .lock          # advisory flock serializing index/stats writers
+    .lock          # advisory flock serializing index writers
 
 Consistency model — writers are *publish-only*: a ``.bin`` file is written to
-a temp name and atomically renamed, then the index is rewritten (read-merge-
-replace) under an advisory ``flock``; data files are immutable once indexed.
-Readers never lock: they see either the old or the new index (atomic
-``os.replace``), and every lookup re-validates the recorded file size before
-mapping — an index entry whose data file is missing, truncated or resized is
-*stale* and treated as a miss (correctness never depends on a hit; the engine
-just recomputes).  Two processes racing to store the same key write
-bit-identical bytes (entries are deterministic), so last-rename-wins is safe.
+a temp name and atomically renamed, then one index line is appended under an
+advisory ``flock`` with a single ``O_APPEND`` write; earlier lines are never
+re-read or rewritten, so a publish costs the same however large the index has
+grown.  Data files are immutable once indexed.  A writer that died mid-append
+leaves a line without its newline; the next writer sees that last byte and
+starts on a fresh line, so the torn record cannot swallow the next one.
+
+Readers never lock: each keeps a byte offset into the log and on refresh
+parses only the new tail up to its last newline, so a line still being
+written is never read.  A log that shrank or was replaced is read again from
+the start; a log whose header is not this format's is ignored (and a writer
+starts a new one).  A later line for a digest wins over an earlier one — a
+racing duplicate, or a republish after a stale or corrupt entry.  Every
+lookup re-validates the recorded file size before mapping — an index entry
+whose data file is missing, truncated or resized is *stale* and treated as a
+miss (correctness never depends on a hit; the engine just recomputes).  Two
+processes racing to store the same key write bit-identical bytes (entries
+are deterministic), so last-rename-wins is safe.
 
 Keys are the level cache's tuples of primitives, digested via their ``repr``.
 Keys carrying a process-local workload identity (the ``("token", n)`` /
@@ -63,7 +75,9 @@ __all__ = ["SharedPhysicsStore", "StoreLockTimeout", "shareable_key"]
 logger = logging.getLogger("repro.sim.shared_store")
 
 _ALIGN = 64
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+#: First line of the index log; a log starting with anything else is foreign.
+_LOG_HEADER = (json.dumps({"version": _FORMAT_VERSION}) + "\n").encode()
 
 #: Process-local markers of :func:`~repro.sim.level_cache.workload_cache_key`
 #: — meaningless (and colliding) in any other process.
@@ -226,11 +240,15 @@ class SharedPhysicsStore:
             logger.warning("shared store directory %r unusable (%s); "
                            "degrading to process-local caching only",
                            directory, error)
-        self._index_path = os.path.join(directory, "index.json")
+        self._index_path = os.path.join(directory, "index.jsonl")
         self._lock_path = os.path.join(directory, ".lock")
         self._events_path = os.path.join(directory, "stats.jsonl")
         self._index: Dict[str, Dict] = {}
-        self._index_stat: Optional[Tuple[int, int]] = None
+        #: (inode, bytes consumed) of the index log read so far, and whether
+        #: that log's header named another format (its lines are ignored).
+        self._log_inode: Optional[int] = None
+        self._log_offset = 0
+        self._log_foreign = False
         #: digests this instance already logged per event kind — one audit
         #: line per (entry, process) even when an oversized-for-memory entry
         #: is re-loaded on every get.
@@ -252,25 +270,72 @@ class SharedPhysicsStore:
     # ------------------------------------------------------------------ #
     # index handling
     # ------------------------------------------------------------------ #
-    def _read_index(self) -> Dict[str, Dict]:
-        try:
-            stat = os.stat(self._index_path)
-            with open(self._index_path) as handle:
-                data = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-        if data.get("version") != _FORMAT_VERSION:
-            return {}
-        self._index_stat = (stat.st_mtime_ns, stat.st_size)
-        return data.get("entries", {})
-
     def _refresh_index(self) -> None:
+        """Fold the index log's new complete lines into ``self._index``.
+
+        Reads only the bytes past the consumed offset and consumes them up
+        to the last newline, leaving a line still being appended for a later
+        refresh.  A log that shrank or was replaced (new inode) is read again
+        from the start.
+        """
         try:
             stat = os.stat(self._index_path)
+            if (stat.st_ino, stat.st_size) == (self._log_inode,
+                                               self._log_offset):
+                return
+            with open(self._index_path, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                if (stat.st_ino != self._log_inode
+                        or stat.st_size < self._log_offset):
+                    self._index = {}
+                    self._log_inode = stat.st_ino
+                    self._log_offset = 0
+                    self._log_foreign = False
+                handle.seek(self._log_offset)
+                tail = handle.read(stat.st_size - self._log_offset)
         except FileNotFoundError:
             return
-        if self._index_stat != (stat.st_mtime_ns, stat.st_size):
-            self._index = self._read_index()
+        end = tail.rfind(b"\n") + 1
+        lines = tail[:end].splitlines(keepends=True)
+        if self._log_offset == 0 and lines:
+            self._log_foreign = lines.pop(0) != _LOG_HEADER
+        self._log_offset += end
+        if self._log_foreign:
+            return
+        for line in lines:
+            try:
+                record = json.loads(line)
+                digest = record.pop("digest")
+            except (ValueError, AttributeError, KeyError, TypeError):
+                continue        # a torn line that a later writer fenced off
+            self._index[digest] = record
+
+    def _append_index_line(self, line: bytes) -> None:
+        """Append one ``\\n``-terminated record to the index log.
+
+        The caller holds the store lock, so the log's last byte is stable:
+        when a writer died mid-append it is not a newline, and this line
+        starts on a fresh one.  The log is created with its header; a log
+        with another format's header is unlinked and started anew (readers
+        see the new inode) rather than appended to.
+        """
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        while True:
+            fd = os.open(self._index_path, flags, 0o644)
+            try:
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, len(_LOG_HEADER), 0) != _LOG_HEADER:
+                    os.unlink(self._index_path)
+                    continue
+                if size == 0:
+                    line = _LOG_HEADER + line
+                elif os.pread(fd, 1, size - 1) != b"\n":
+                    line = b"\n" + line
+                if os.write(fd, line) != len(line):
+                    raise OSError("short write to the shared store index")
+                return
+            finally:
+                os.close(fd)
 
     def _log_event(self, event: str, digest: str) -> None:
         if not self.record_events:
@@ -501,21 +566,10 @@ class SharedPhysicsStore:
         record = {"file": file_name, "size": len(blob), "kind": kind,
                   "meta": meta, "arrays": specs, "pid": os.getpid(),
                   "sha256": hashlib.sha256(blob).hexdigest()}
+        line = json.dumps({"digest": digest, **record}) + "\n"
         with _Flock(self._lock_path, timeout=self.lock_timeout):
-            entries = self._read_index()
-            entries[digest] = record
-            payload = {"version": _FORMAT_VERSION, "entries": entries}
-            fd, tmp_path = tempfile.mkstemp(dir=self.directory,
-                                            prefix=".tmp-index")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self._index_path)
-            self._index = entries
-            try:
-                stat = os.stat(self._index_path)
-                self._index_stat = (stat.st_mtime_ns, stat.st_size)
-            except FileNotFoundError:       # pragma: no cover - racing rmtree
-                self._index_stat = None
+            self._append_index_line(line.encode())
+        self._index[digest] = record
         self.stores += 1
         self._log_event("store", digest)
         return True

@@ -144,7 +144,7 @@ class TestStoreRoundtrip:
 
     def test_index_visible_to_earlier_attachers(self, tmp_path):
         """A store attached before a sibling published still sees the entry
-        (mtime-based index refresh)."""
+        (the index log's new tail is read on a miss)."""
         early = SharedPhysicsStore(str(tmp_path))
         assert early.load(level_key()) is None
         SharedPhysicsStore(str(tmp_path)).store(level_key(),
@@ -188,10 +188,42 @@ class TestStaleIndexRejection:
     def test_unknown_format_version_ignored(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
         store.store(level_key(), sample_entry(), 1000)
-        index = json.loads((tmp_path / "index.json").read_text())
-        index["version"] = 999
-        (tmp_path / "index.json").write_text(json.dumps(index))
-        assert SharedPhysicsStore(str(tmp_path)).load(level_key()) is None
+        log = tmp_path / "index.jsonl"
+        header, entries = log.read_bytes().split(b"\n", 1)
+        assert json.loads(header) == {"version": 2}
+        log.write_bytes(json.dumps({"version": 999}).encode() + b"\n"
+                        + entries)
+        foreign = SharedPhysicsStore(str(tmp_path))
+        assert foreign.load(level_key()) is None
+        assert foreign.stats()["entries"] == 0
+        # A writer does not append to another format's log: it starts a
+        # new one, which every reader then follows.
+        assert foreign.store(level_key(), sample_entry(), 1000)
+        assert foreign.stores == 1
+        assert log.read_bytes().startswith(b'{"version": 2}\n')
+        assert SharedPhysicsStore(str(tmp_path)).load(level_key()) is not None
+
+    def test_legacy_index_json_misses_then_republishes(self, tmp_path):
+        """A directory holding only the old whole-file ``index.json`` is not
+        read: the first lookup misses, the entry is republished into the
+        log, and from then on it hits."""
+        entry = sample_entry()
+        SharedPhysicsStore(str(tmp_path)).store(level_key(), entry, 1000)
+        log = tmp_path / "index.jsonl"
+        lines = log.read_text().splitlines()[1:]
+        legacy = {"version": 1, "entries": {}}
+        for line in lines:
+            record = json.loads(line)
+            legacy["entries"][record.pop("digest")] = record
+        (tmp_path / "index.json").write_text(json.dumps(legacy))
+        log.unlink()
+
+        store = SharedPhysicsStore(str(tmp_path))
+        assert store.load(level_key()) is None
+        assert store.store(level_key(), entry, 1000)
+        assert store.stores == 1                      # really republished
+        value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
+        assert np.array_equal(value.drop_rows, entry.drop_rows)
 
 
 class TestByteBudgetCacheBackend:
@@ -495,7 +527,135 @@ class TestStoreHardening:
     def test_checksum_recorded_on_publish(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
         assert store.store(level_key(), sample_entry(), 1000)
-        record = next(iter(store._read_index().values()))
+        reader = SharedPhysicsStore(str(tmp_path))
+        reader._refresh_index()
+        record = next(iter(reader._index.values()))
         import hashlib
-        blob = open(os.path.join(str(tmp_path), record["file"]), "rb").read()
+        blob = (tmp_path / record["file"]).read_bytes()
         assert record["sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+def _publish_disjoint_keys(directory, worker, count, start):
+    """Publish ``count`` keys no other worker uses (spawned child target)."""
+    store = SharedPhysicsStore(directory)
+    start.wait(timeout=60)
+    for i in range(count):
+        assert store.store(level_key(f"w{worker}-{i}"),
+                           sample_entry(seed=worker * count + i), 1000)
+
+
+class TestIndexLog:
+    """The append-only index log: publishes append one line and never
+    rewrite, readers skip a torn tail, writers fence it off, and concurrent
+    writer processes lose no entry."""
+
+    def log_lines(self, directory):
+        return (directory / "index.jsonl").read_bytes().splitlines(
+            keepends=True)
+
+    def test_publish_appends_one_line_without_rewrite(self, tmp_path):
+        store = SharedPhysicsStore(str(tmp_path))
+        log = tmp_path / "index.jsonl"
+        assert store.store(level_key("k0"), sample_entry(seed=0), 1000)
+        header, first = self.log_lines(tmp_path)
+        assert header == b'{"version": 2}\n'
+        assert log.stat().st_size == len(header) + len(first)
+        inode = log.stat().st_ino
+        for i in range(1, 6):
+            before = log.read_bytes()
+            assert store.store(level_key(f"k{i}"), sample_entry(seed=i), 1000)
+            after = log.read_bytes()
+            assert log.stat().st_ino == inode         # never replaced
+            assert after.startswith(before)           # earlier bytes intact
+            appended = after[len(before):]
+            assert appended.endswith(b"\n") and appended.count(b"\n") == 1
+            record = json.loads(appended)
+            assert record["file"] == record["digest"] + ".bin"
+        # A republish of a known, intact entry appends nothing.
+        size = log.stat().st_size
+        assert store.store(level_key("k0"), sample_entry(seed=0), 1000)
+        assert log.stat().st_size == size
+        assert SharedPhysicsStore(str(tmp_path)).stats()["entries"] == 6
+
+    def test_readers_skip_a_line_still_being_written(self, tmp_path):
+        SharedPhysicsStore(str(tmp_path)).store(level_key("a"),
+                                                sample_entry(), 1000)
+        log = tmp_path / "index.jsonl"
+        header, line = self.log_lines(tmp_path)
+        record = json.loads(line)
+        record["digest"] = "f" * 40
+        pending = json.dumps(record).encode() + b"\n"
+        cut = len(pending) // 2
+        with open(log, "ab") as handle:
+            handle.write(pending[:cut])               # a writer mid-append
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.load(level_key("a")) is not None
+        assert reader.stats()["entries"] == 1
+        assert reader._log_offset == len(header) + len(line)
+        with open(log, "ab") as handle:
+            handle.write(pending[cut:])               # ... and it finishes
+        assert reader.stats()["entries"] == 2
+        assert "f" * 40 in reader._index
+
+    def test_writer_fences_off_a_torn_tail(self, tmp_path):
+        """A writer killed mid-append leaves a line with no newline; the next
+        publish starts on a fresh line, so both entries stay readable and
+        the torn bytes are a line of their own that readers skip."""
+        entry_a, entry_b = sample_entry(seed=1), sample_entry(seed=2)
+        SharedPhysicsStore(str(tmp_path)).store(level_key("a"), entry_a, 1000)
+        torn = b'{"digest": "0123456789", "file": "01234'
+        with open(tmp_path / "index.jsonl", "ab") as handle:
+            handle.write(torn)
+        assert SharedPhysicsStore(str(tmp_path)).stats()["entries"] == 1
+        assert SharedPhysicsStore(str(tmp_path)).store(level_key("b"),
+                                                       entry_b, 1000)
+        lines = self.log_lines(tmp_path)
+        assert len(lines) == 4 and lines[2] == torn + b"\n"
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.stats()["entries"] == 2
+        for key, entry in ((level_key("a"), entry_a), (level_key("b"), entry_b)):
+            value, _ = reader.load(key)
+            assert np.array_equal(value.drop_rows, entry.drop_rows)
+
+    def test_shrunken_log_is_read_again(self, tmp_path):
+        store = SharedPhysicsStore(str(tmp_path))
+        store.store(level_key("a"), sample_entry(seed=1), 1000)
+        store.store(level_key("b"), sample_entry(seed=2), 1000)
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.stats()["entries"] == 2
+        header, first, _ = self.log_lines(tmp_path)
+        (tmp_path / "index.jsonl").write_bytes(header + first)
+        assert reader.stats()["entries"] == 1
+        assert reader.load(level_key("a")) is not None
+        assert reader.load(level_key("b")) is None
+
+    def test_concurrent_writer_processes_lose_no_entry(self, tmp_path):
+        import multiprocessing
+        context = multiprocessing.get_context("spawn")
+        workers, count = 4, 15
+        start = context.Event()
+        children = [context.Process(
+            target=_publish_disjoint_keys,
+            args=(str(tmp_path), worker, count, start))
+            for worker in range(workers)]
+        for child in children:
+            child.start()
+        start.set()
+        for child in children:
+            child.join(timeout=120)
+        hung = [child for child in children if child.is_alive()]
+        for child in hung:                            # pragma: no cover
+            child.kill()
+            child.join()
+        assert not hung, "writer process did not exit within the deadline"
+        assert [child.exitcode for child in children] == [0] * workers
+        lines = self.log_lines(tmp_path)
+        assert lines[0] == b'{"version": 2}\n'
+        assert len(lines) == 1 + workers * count      # no torn or lost line
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.stats()["entries"] == workers * count
+        for worker in range(workers):
+            for i in range(count):
+                value, _ = reader.load(level_key(f"w{worker}-{i}"))
+                want = sample_entry(seed=worker * count + i)
+                assert np.array_equal(value.drop_rows, want.drop_rows)
