@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, _as_array
 
@@ -22,20 +23,24 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold ``x`` of shape (N, C, H, W) into (N, out_h*out_w, C*kernel*kernel)."""
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
+           groups: int = 1) -> np.ndarray:
+    """Unfold ``x`` of shape (N, C, H, W) into (N, out_h*out_w, C*kernel*kernel).
+
+    Each row is one receptive field with its columns ordered (group, ki, kj,
+    channel within the group); for ``groups == 1`` that is (ki, kj, c).  The
+    result is C-contiguous, made by one copy out of a sliding-window view of
+    the NHWC input, so channels are the contiguous axis on both sides of it.
+    """
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for ki in range(kernel):
-        i_end = ki + stride * out_h
-        for kj in range(kernel):
-            j_end = kj + stride * out_w
-            cols[:, :, ki, kj, :, :] = x[:, :, ki:i_end:stride, kj:j_end:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n, out_h * out_w, c * kernel * kernel)
+    nhwc = np.pad(x.transpose(0, 2, 3, 1),
+                  ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    windows = sliding_window_view(nhwc, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    windows = windows.reshape(n, out_h, out_w, groups, c // groups, kernel, kernel)
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 3, 5, 6, 4))
+    return cols.reshape(n, out_h * out_w, c * kernel * kernel)
 
 
 def col2im(
@@ -44,21 +49,22 @@ def col2im(
     kernel: int,
     stride: int,
     padding: int,
+    groups: int = 1,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col` (scatter-add), used for the conv backward pass."""
+    """Adjoint of :func:`im2col` (scatter-add), used for the conv backward pass."""
     n, c, h, w = x_shape
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, out_h, out_w, groups, kernel, kernel, c // groups)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, groups, c // groups),
+                      dtype=cols.dtype)
     for ki in range(kernel):
         i_end = ki + stride * out_h
         for kj in range(kernel):
             j_end = kj + stride * out_w
-            padded[:, :, ki:i_end:stride, kj:j_end:stride] += cols[:, :, ki, kj, :, :]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            padded[:, ki:i_end:stride, kj:j_end:stride] += cols[:, :, :, :, ki, kj]
+    padded = padded.reshape(n, h + 2 * padding, w + 2 * padding, c)
+    return padded[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------- #
@@ -76,6 +82,10 @@ def conv2d(
 
     ``x``: (N, C_in, H, W); ``weight``: (C_out, C_in/groups, K, K).
     ``groups == C_in`` gives depthwise convolution (used by MobileNet blocks).
+
+    Lowered to im2col + GEMM: per group, the unfolded input is one
+    (N*P, K*K*C_in/groups) matrix, so the output, the input gradient and the
+    weight gradient are each one matmul (batched over groups).
     """
     n, c_in, h, w = x.shape
     c_out, c_group, kernel, _ = weight.shape
@@ -83,75 +93,35 @@ def conv2d(
         raise ValueError("channel counts must be divisible by groups")
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
+    rows = n * out_h * out_w
+    cg_out = c_out // groups
 
-    if groups == 1:
-        cols = im2col(x.data, kernel, stride, padding)  # (N, P, C*K*K)
-        w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*K*K)
-        out = cols @ w_mat.T  # (N, P, C_out)
-        out_data = out.transpose(0, 2, 1).reshape(n, c_out, out_h, out_w)
+    cols = im2col(x.data, kernel, stride, padding, groups)
+    cols_g = cols.reshape(rows, groups, -1).transpose(1, 0, 2)  # (G, N*P, K*K*Cg_in)
+    # Weight rows in the (ki, kj, c) column order of im2col: (G, Cg_out, K*K*Cg_in).
+    w_g = weight.data.reshape(groups, cg_out, c_group, kernel, kernel).transpose(
+        0, 1, 3, 4, 2).reshape(groups, cg_out, -1)
+    out = cols_g @ w_g.transpose(0, 2, 1)  # (G, N*P, Cg_out)
+    out_data = out.transpose(1, 0, 2).reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
-        def backward(grad: np.ndarray) -> None:
-            grad = _as_array(grad)
-            grad_mat = grad.reshape(n, c_out, -1).transpose(0, 2, 1)  # (N, P, C_out)
-            if weight.requires_grad:
-                gw = np.einsum("npo,npk->ok", grad_mat, cols)
-                weight._accumulate(gw.reshape(weight.shape))
-            if x.requires_grad:
-                gcols = grad_mat @ w_mat  # (N, P, C*K*K)
-                x._accumulate(col2im(gcols, x.shape, kernel, stride, padding))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)))
+    def backward(grad: np.ndarray) -> None:
+        grad = _as_array(grad)
+        grad_g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
+            rows, groups, cg_out).transpose(1, 0, 2)  # (G, N*P, Cg_out)
+        if weight.requires_grad:
+            gw = grad_g.transpose(0, 2, 1) @ cols_g  # (G, Cg_out, K*K*Cg_in)
+            gw = gw.reshape(groups, cg_out, kernel, kernel, c_group).transpose(0, 1, 4, 2, 3)
+            weight._accumulate(gw.reshape(weight.shape))
+        if x.requires_grad:
+            gcols = (grad_g @ w_g).transpose(1, 0, 2)  # (N*P, G, K*K*Cg_in)
+            x._accumulate(col2im(gcols, x.shape, kernel, stride, padding, groups))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        result = Tensor._make(out_data, parents, backward)
-    else:
-        # Grouped convolution expressed as independent per-group convolutions on
-        # numpy views, with a combined backward pass.
-        cg_in = c_in // groups
-        cg_out = c_out // groups
-        cols_list = []
-        outs = np.empty((n, c_out, out_h, out_w), dtype=x.data.dtype)
-        for g in range(groups):
-            xg = x.data[:, g * cg_in:(g + 1) * cg_in]
-            cols = im2col(xg, kernel, stride, padding)
-            cols_list.append(cols)
-            w_mat = weight.data[g * cg_out:(g + 1) * cg_out].reshape(cg_out, -1)
-            og = (cols @ w_mat.T).transpose(0, 2, 1).reshape(n, cg_out, out_h, out_w)
-            outs[:, g * cg_out:(g + 1) * cg_out] = og
-
-        def backward(grad: np.ndarray) -> None:
-            grad = _as_array(grad)
-            gx_full = np.zeros_like(x.data) if x.requires_grad else None
-            gw_full = np.zeros_like(weight.data) if weight.requires_grad else None
-            for g in range(groups):
-                gg = grad[:, g * cg_out:(g + 1) * cg_out]
-                grad_mat = gg.reshape(n, cg_out, -1).transpose(0, 2, 1)
-                cols = cols_list[g]
-                w_mat = weight.data[g * cg_out:(g + 1) * cg_out].reshape(cg_out, -1)
-                if gw_full is not None:
-                    gw = np.einsum("npo,npk->ok", grad_mat, cols)
-                    gw_full[g * cg_out:(g + 1) * cg_out] = gw.reshape(cg_out, cg_in, kernel, kernel)
-                if gx_full is not None:
-                    gcols = grad_mat @ w_mat
-                    xg_shape = (n, cg_in, h, w)
-                    gx_full[:, g * cg_in:(g + 1) * cg_in] = col2im(
-                        gcols, xg_shape, kernel, stride, padding)
-            if gx_full is not None:
-                x._accumulate(gx_full)
-            if gw_full is not None:
-                weight._accumulate(gw_full)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)))
-
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        result = Tensor._make(outs, parents, backward)
-
-    if bias is not None and groups == 1:
-        # bias gradient already handled in backward; add the forward contribution
-        result.data = result.data + bias.data.reshape(1, c_out, 1, 1)
-    elif bias is not None:
-        result.data = result.data + bias.data.reshape(1, c_out, 1, 1)
-    return result
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out_data, parents, backward)
 
 
 # ---------------------------------------------------------------------- #

@@ -51,7 +51,8 @@ from .quantizer import (
     symmetric_scale,
 )
 
-__all__ = ["QATConfig", "QATResult", "run_qat", "evaluate_task_metric", "hr_summary"]
+__all__ = ["QATConfig", "QATResult", "run_qat", "train_qat", "evaluate_task_metric",
+           "hr_summary"]
 
 
 @dataclass
@@ -175,11 +176,31 @@ class _ShadowQuantizer:
 def run_qat(spec: ModelSpec, config: QATConfig,
             model: Optional[Module] = None,
             dataset: Optional[Dataset] = None) -> QATResult:
-    """Run quantization-aware training for one workload.
+    """Run quantization-aware training for one workload and evaluate it.
 
     ``spec`` supplies the model factory, dataset and task; ``model``/``dataset``
     override them (used when chaining: e.g. LHR fine-tuning of an already
-    float-trained network, or pruning + LHR combinations).
+    float-trained network, or pruning + LHR combinations).  This is
+    :func:`train_qat` followed by deployment of the integer codes into the
+    model and one evaluation of the task metric on ``dataset``.
+    """
+    dataset = dataset if dataset is not None else spec.dataset()
+    result = train_qat(spec, config, model=model, dataset=dataset)
+    _deploy_quantized(result.model, result.quantized)
+    result.metric = evaluate_task_metric(spec.task, result.model, dataset,
+                                         config.batch_size)
+    return result
+
+
+def train_qat(spec: ModelSpec, config: QATConfig,
+              model: Optional[Module] = None,
+              dataset: Optional[Dataset] = None) -> QATResult:
+    """The training half of :func:`run_qat`: QAT steps plus final quantization.
+
+    Returns the trained integer codes and scales without evaluating the task
+    metric, for callers that need only the codes (the sweep model builder).
+    The returned ``metric`` is NaN and ``model`` still holds the trained float
+    shadow weights, not the deployed codes.
     """
     model = model if model is not None else spec.build()
     dataset = dataset if dataset is not None else spec.dataset()
@@ -220,14 +241,11 @@ def run_qat(spec: ModelSpec, config: QATConfig,
             epoch_losses.append(loss_value)
         loss_history.append(float(np.mean(epoch_losses)))
 
-    # Final snapshot: quantize the trained shadow weights to integer codes and
-    # evaluate the task metric with the deployed (fake-quantized) weights.
+    # Final snapshot: quantize the trained shadow weights to integer codes.
     scales = model_scales(model, config.bits, config.scale_quantile)
     quantized = quantize_model(model, config.bits, scales=scales)
-    _deploy_quantized(model, quantized)
-    metric = evaluate_task_metric(spec.task, model, dataset, config.batch_size)
     return QATResult(model=model, config=config, scales=scales, quantized=quantized,
-                     metric=metric, metric_name=spec.metric_name,
+                     metric=float("nan"), metric_name=spec.metric_name,
                      loss_history=loss_history)
 
 

@@ -69,6 +69,45 @@ class TestConv2d:
         w.data[index] = original
         assert w.grad[index] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4)
 
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients_match_central_differences(self, stride, padding, kernel, groups):
+        """Input, weight and bias gradients of the GEMM lowering against
+        central finite differences of ``sum(conv2d(x, w, b) * r)``."""
+        rng = np.random.default_rng(10 * stride + 4 * padding + kernel + groups)
+        c_in = c_out = 4
+        x = Tensor(rng.normal(size=(2, c_in, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(c_out, c_in // groups, kernel, kernel)),
+                   requires_grad=True)
+        b = Tensor(rng.normal(size=c_out), requires_grad=True)
+        out = F.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        per_group = [naive_conv2d(x.data[:, g * c_in // groups:(g + 1) * c_in // groups],
+                                  w.data[g * c_out // groups:(g + 1) * c_out // groups],
+                                  stride, padding) for g in range(groups)]
+        expected = np.concatenate(per_group, axis=1) + b.data.reshape(1, -1, 1, 1)
+        assert np.allclose(out.data, expected, atol=1e-10)
+        r = rng.normal(size=out.shape)
+        (out * Tensor(r)).sum().backward()
+
+        def loss() -> float:
+            return float((F.conv2d(x, w, b, stride=stride, padding=padding,
+                                   groups=groups).data * r).sum())
+
+        eps = 1e-6
+        for param in (x, w, b):
+            numeric = np.empty_like(param.data)
+            for index in np.ndindex(param.shape):
+                original = param.data[index]
+                param.data[index] = original + eps
+                hi = loss()
+                param.data[index] = original - eps
+                lo = loss()
+                param.data[index] = original
+                numeric[index] = (hi - lo) / (2 * eps)
+            np.testing.assert_allclose(param.grad, numeric, rtol=1e-6, atol=1e-7)
+
     def test_invalid_groups(self):
         with pytest.raises(ValueError):
             F.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((4, 1, 3, 3))), groups=2)
@@ -156,3 +195,23 @@ class TestIm2Col:
         x = np.zeros((2, 3, 8, 8))
         cols = F.im2col(x, kernel=2, stride=2, padding=0)
         assert cols.shape == (2, 16, 12)
+
+    @pytest.mark.parametrize("kernel,stride,padding,groups", [
+        (3, 1, 1, 1), (3, 2, 1, 1), (2, 2, 0, 1), (1, 2, 0, 1), (3, 1, 0, 2),
+        (3, 2, 1, 4)])
+    def test_col2im_is_adjoint_of_im2col(self, kernel, stride, padding, groups):
+        """<im2col(x), c> == <x, col2im(c)>: the conv input gradient is exact."""
+        rng = np.random.default_rng(kernel + stride + padding + groups)
+        x = rng.normal(size=(2, 4, 7, 6))
+        cols = F.im2col(x, kernel, stride, padding, groups)
+        c = rng.normal(size=cols.shape)
+        lhs = float((cols * c).sum())
+        rhs = float((x * F.col2im(c, x.shape, kernel, stride, padding, groups)).sum())
+        assert rhs == pytest.approx(lhs, rel=1e-12)
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_im2col_is_c_contiguous(self, groups):
+        x = np.random.default_rng(0).normal(size=(2, 3, 6, 6))
+        cols = F.im2col(x, kernel=3, stride=2, padding=1, groups=groups)
+        assert cols.shape == (2, 9, 27)
+        assert cols.flags.c_contiguous

@@ -104,6 +104,41 @@ class TestBuilders:
         with pytest.raises(ValueError):
             register_workload_builder("synthetic", lambda spec: None)
 
+    def test_model_builder_trains_without_evaluating(self, monkeypatch):
+        """The "model" builder compiles the codes run_qat would produce, but
+        never pays for run_qat's task-metric evaluation."""
+        from repro.models import get_model_spec
+        from repro.quant import QATConfig, qat, run_qat
+        from repro.sim import compile_workload
+        from repro.sweep.builders import _chip_and_config, build_model_workload
+        from repro.workloads.profiles import build_workload_profile
+
+        spec = WorkloadSpec(model="resnet18", qat_epochs=1, groups=4,
+                            macros_per_group=2)
+        model_spec = get_model_spec(spec.model)
+        reference = run_qat(model_spec, QATConfig(
+            bits=spec.bits, epochs=spec.qat_epochs,
+            learning_rate=spec.qat_learning_rate, lhr_lambda=2.0,
+            seed=spec.compile_seed))
+        chip, config = _chip_and_config(spec)
+        expected = compile_workload(build_workload_profile(
+            reference.model, name=spec.model, family=model_spec.family,
+            codes_by_layer=reference.weight_codes(), bits=spec.bits,
+            attention_seq_len=spec.attention_seq_len, seed=spec.compile_seed),
+            chip, config=config)
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the model builder evaluated the task metric")
+
+        monkeypatch.setattr(qat, "evaluate_task_metric", no_evaluation)
+        built = build_model_workload(spec)
+        assert [t.operator_name for t in built.tasks] == \
+            [t.operator_name for t in expected.tasks]
+        for got, want in zip(built.tasks, expected.tasks):
+            np.testing.assert_array_equal(got.codes, want.codes)
+            assert got.wds_delta == want.wds_delta
+        assert built.mapping.assignment == expected.mapping.assignment
+
     def test_execute_run_metrics_complete(self):
         record = execute_run(tiny_spec().expand()[0])
         assert set(record.metrics) == set(METRIC_NAMES)
