@@ -8,9 +8,11 @@ each harness still exercises the real code paths.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
+import time
 from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -172,6 +174,43 @@ def assert_records_equivalent(first, second, rtol: float = 1e-9) -> None:
             else:
                 assert np.isclose(value, other, rtol=rtol, atol=0.0), \
                     (a.run_id, name, value, other)
+
+
+def assert_discrete_equivalent(reference, candidate, label: str) -> None:
+    """The discrete-outcome slice of the engine-equivalence contract."""
+    assert reference.total_failures == candidate.total_failures, label
+    assert reference.total_stall_cycles == candidate.total_stall_cycles, label
+    assert np.array_equal(reference.chip_drop_trace,
+                          candidate.chip_drop_trace), label
+    for ref, cand in zip(reference.macro_results, candidate.macro_results):
+        assert ref.failures == cand.failures, label
+        assert ref.stall_cycles == cand.stall_cycles, label
+        assert np.array_equal(ref.drop_trace, cand.drop_trace), label
+    for ref, cand in zip(reference.group_results, candidate.group_results):
+        assert np.array_equal(ref.level_trace, cand.level_trace), label
+        assert ref.final_level == cand.final_level, label
+
+
+def best_of(fn, repeats: int = 3) -> float:
+    """Best wall time of ``fn`` over ``repeats`` calls, with the GC parked.
+
+    The perf harnesses share one process, whose caches keep millions of
+    objects alive; a generational collection landing inside a timed region
+    would charge their bookkeeping to the measurement.
+    """
+    best = float("inf")
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if was_enabled:
+            gc.enable()
+    return best
 
 
 def stress_workload_spec(label: str = "stress@64", **overrides) -> WorkloadSpec:

@@ -232,7 +232,7 @@ class IRBoosterController:
         group_id))`` but in one call with no inner loop: after any transition
         the safe counter sits at ``beta``, so the follow-up gap is always
         ``beta + 1``.  Returns ``(steps_advanced, new_level, next_gap)``.  The
-        batched simulation engine uses this for the scheduled Algorithm-2
+        vectorized simulation engine uses this for the scheduled Algorithm-2
         events between failures.
         """
         state = self._groups[group_id]
@@ -411,7 +411,7 @@ class IRBoosterController:
         from step ``k`` on (a failure at cycle ``c`` therefore contributes a
         break at ``c + 1``).
 
-        This is the one-call form of the primitives the batched engine drives
+        This is the one-call form of the primitives the vectorized engine drives
         incrementally (:meth:`advance_to_transition` / :meth:`advance_and_fail`
         — the engine discovers each failure from the previous one's level
         breaks, so it cannot hand over the whole run up front); the property

@@ -1,11 +1,12 @@
 """Closed-form failure-timeline kernels for no-level-change group spans.
 
-The batched event engine (:mod:`repro.sim.engine`) walks a group's failure
-timeline event by event with per-member ``bisect`` pointers.  For groups whose
-V-f level never changes — every ``dvfs`` and ``booster_safe`` group, and
-``booster`` groups between two level breaks — that walk is pure overhead: the
+An event-by-event walk of a group's failure timeline (per-member ``bisect``
+pointers, as the engine's heap scheduler still does for coupled groups) is
+pure overhead for groups whose V-f level never changes — every ``dvfs`` and
+``booster_safe`` group, and ``booster`` groups between two level breaks: the
 whole timeline is a *greedy min-gap selection* over one merged candidate
-stream, which this module resolves in closed form.
+stream, which this module resolves in closed form for the vectorized engine
+(:mod:`repro.sim.engine`).
 
 The selection rule
 ------------------
@@ -37,7 +38,7 @@ Implementations
 ---------------
 The default pure-Python selection loop runs ``bisect`` over a plain list of
 keys (a scalar list bisect is several times faster than a scalar
-``np.searchsorted`` — the same trade the batched engine's event paths make),
+``np.searchsorted`` — the same trade the engine's heap scheduler makes),
 and skips even that when the next key already clears the frontier.  The same
 algorithm is also written against a plain int64 array
 (:func:`_select_failures_impl`) so it compiles unchanged under :mod:`numba`:

@@ -75,8 +75,7 @@ class LevelEntry:
     lazily per process, so each event path only pays for what it consumes:
     ``merged`` holds the per-Set packed-key candidate streams the timeline
     kernels walk (:mod:`repro.sim.kernels`), :attr:`fail_lists` the
-    per-member plain-list mirror the heap scheduler and the pre-kernel
-    batched loop ``bisect`` over.
+    per-member plain-list mirror the heap scheduler ``bisect`` runs over.
     """
 
     pair: VFPair

@@ -3,7 +3,7 @@
 Besides the operator factories, this module is the *property-test corpus* for
 the simulation engine suites: one seeded source of randomized scenarios
 (geometry x controller x mode x stress x straddling-Sets) plus the engine
-oracle chain — ``reference -> scan -> batched -> kernel -> ensemble`` — and
+oracle chain — ``reference -> kernel -> ensemble`` — and
 the equivalence assertions the chain is judged by.  ``tests/test_kernels.py``,
 ``tests/test_sim_engine.py`` and ``tests/test_scalar_records.py`` all draw
 from here, so every suite stresses the same scenario space and a new engine
@@ -174,10 +174,11 @@ def corpus_scenarios(count: int = 9, master_seed: int = 2025) -> Tuple[Scenario,
 # ---------------------------------------------------------------------- #
 # the engine oracle chain
 # ---------------------------------------------------------------------- #
-#: Every engine variant, oracle first.  Each later variant replaced the one
-#: before it (scan -> batched event loop -> closed-form kernels -> batched
-#: ensemble) and must stay bit-identical on discrete outcomes.
-ENGINE_VARIANTS = ("reference", "scan", "batched", "kernel", "ensemble")
+#: Every engine variant, oracle first: the reference loop, the vectorized
+#: engine (timeline kernels for independent groups, the heap scheduler for
+#: coupled ones) and the batched ensemble.  Each must stay bit-identical to
+#: the oracle on discrete outcomes.
+ENGINE_VARIANTS = ("reference", "kernel", "ensemble")
 
 
 def run_engine_variant(compiled, variant: str, table=None, **kwargs):
@@ -188,15 +189,8 @@ def run_engine_variant(compiled, variant: str, table=None, **kwargs):
         return simulate(compiled, RuntimeConfig(engine="reference", **kwargs),
                         table=table)
     config = RuntimeConfig(**kwargs)
-    if variant == "scan":
-        return run_vectorized(PIMRuntime(compiled, config, table=table),
-                              batched=False)
-    if variant == "batched":
-        return run_vectorized(PIMRuntime(compiled, config, table=table),
-                              kernel=False)
     if variant == "kernel":
-        return run_vectorized(PIMRuntime(compiled, config, table=table),
-                              kernel=True)
+        return run_vectorized(PIMRuntime(compiled, config, table=table))
     if variant == "ensemble":
         return run_ensemble(compiled, [config], table=table)[0]
     raise ValueError(f"unknown engine variant {variant!r}")

@@ -3,8 +3,8 @@
 Two layers: direct unit tests of the greedy min-gap selection
 (:mod:`repro.sim.kernels`) against a brute-force model of the reference
 semantics, and randomized end-to-end property tests over the shared corpus
-(``tests.helpers``) asserting the full oracle chain — reference == scan ==
-batched == kernel == ensemble, bit for bit — on failure-dense workloads
+(``tests.helpers``) asserting the full oracle chain — reference == kernel ==
+ensemble, bit for bit — on failure-dense workloads
 across all controllers, including multi-macro Sets and group-straddling Sets
 (which route around the kernels through the heap scheduler, and must keep
 agreeing when both paths mix in one run).
@@ -175,11 +175,10 @@ class TestKernelGate:
 # ---------------------------------------------------------------------- #
 # end-to-end equivalence properties
 # ---------------------------------------------------------------------- #
-def quadrangulate(compiled, **kwargs):
-    """reference == scan == batched-no-kernel == batched-kernel, bit for bit."""
-    return assert_oracle_chain(compiled,
-                               variants=("scan", "batched", "kernel"),
-                               **kwargs)
+def kernel_vs_reference(compiled, **kwargs):
+    """reference == vectorized engine, bit for bit: the two variants whose
+    event paths (timeline kernels, heap scheduler) these scenarios target."""
+    return assert_oracle_chain(compiled, variants=("kernel",), **kwargs)
 
 
 class TestKernelEngineEquivalence:
@@ -192,7 +191,7 @@ class TestKernelEngineEquivalence:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_failure_dense_all_controllers(self, controller, seed):
         compiled = self.synthetic("kernel-dense")
-        result = quadrangulate(
+        result = kernel_vs_reference(
             compiled, cycles=600, controller=controller, beta=4,
             recompute_cycles=3, flip_mean=0.85, monitor_noise=0.02, seed=seed)
         if controller != "dvfs":
@@ -203,19 +202,19 @@ class TestKernelEngineEquivalence:
         """R=0 (all candidates fail), R=1 (densest windows) and a window
         longer than the beta period (group-wide overlapping stalls)."""
         compiled = self.synthetic("kernel-recompute")
-        quadrangulate(compiled, cycles=500, controller="booster_safe", beta=6,
-                      recompute_cycles=recompute, flip_mean=0.85,
-                      monitor_noise=0.02, seed=2)
-        quadrangulate(compiled, cycles=500, controller="booster", beta=6,
-                      recompute_cycles=recompute, flip_mean=0.85,
-                      monitor_noise=0.02, seed=2)
+        kernel_vs_reference(compiled, cycles=500, controller="booster_safe",
+                            beta=6, recompute_cycles=recompute,
+                            flip_mean=0.85, monitor_noise=0.02, seed=2)
+        kernel_vs_reference(compiled, cycles=500, controller="booster",
+                            beta=6, recompute_cycles=recompute,
+                            flip_mean=0.85, monitor_noise=0.02, seed=2)
 
     def test_multi_macro_sets(self):
         """Four-macro Sets: within-cycle suppression spans several rows."""
         compiled = self.synthetic("kernel-multimacro", operator_rows=32,
                                   n_operators=6)
         for controller in ("booster_safe", "booster"):
-            result = quadrangulate(
+            result = kernel_vs_reference(
                 compiled, cycles=700, controller=controller, beta=5,
                 recompute_cycles=4, flip_mean=0.85, monitor_noise=0.02,
                 seed=3)
@@ -227,7 +226,7 @@ class TestKernelEngineEquivalence:
         in one run, against the oracle."""
         compiled = self.synthetic("kernel-straddle", groups=6,
                                   macros_per_group=3, n_operators=9)
-        result = quadrangulate(
+        result = kernel_vs_reference(
             compiled, cycles=700, controller="booster", beta=4,
             recompute_cycles=10, flip_mean=0.8, monitor_noise=0.01, seed=7)
         assert result.total_failures > 50
@@ -241,12 +240,12 @@ class TestKernelEngineEquivalence:
         coupling = ("contained", "mixed", "straddling")[seed % 3]
         compiled = build_compiled_workload(random_workload_spec(
             f"kernel-rand-{seed}", rng, coupling=coupling))
-        quadrangulate(compiled, **random_runtime_kwargs(rng))
+        kernel_vs_reference(compiled, **random_runtime_kwargs(rng))
 
 
 class TestOracleChainCorpus:
     """The unified differential test: every engine variant — reference,
-    scan, batched, kernel and the batched ensemble — over the one seeded
+    kernel and the batched ensemble — over the one seeded
     scenario corpus (geometry x controller x mode x stress x coupling)."""
 
     @pytest.mark.parametrize("scenario", corpus_scenarios(),

@@ -26,7 +26,7 @@ from repro.sim import (
     set_level_cache_budget,
     simulate,
 )
-from repro.sim.engine import _VectorizedEngine, run_vectorized
+from repro.sim.engine import _VectorizedEngine
 from repro.sweep import WorkloadSpec, build_compiled_workload
 from repro.workloads import flip_factor_matrix, flip_factor_sequence
 from repro.workloads.profiles import WorkloadProfile
@@ -113,12 +113,6 @@ class TestEngineEquivalence:
             RuntimeConfig(engine="warp").validate()
 
 
-def run_unbatched(compiled, config, table=None):
-    """The pre-batching event loop (the batched path's measured baseline)."""
-    return run_vectorized(PIMRuntime(compiled, config, table=table),
-                          batched=False)
-
-
 def coupling_of(compiled, config, table=None):
     """(independent, coupled) group counts the engine derives for a workload."""
     engine = _VectorizedEngine(PIMRuntime(compiled, config, table=table))
@@ -127,48 +121,49 @@ def coupling_of(compiled, config, table=None):
 
 
 class TestFailureDenseEquivalence:
-    """Forced high-failure-density configs: batched and pre-batching event
-    loops must both reproduce the reference oracle bit-for-bit, across the
-    independent-group (batched per-group runs) and coupled-group (heap
-    scheduler) code paths."""
+    """Forced high-failure-density configs: the vectorized engine must
+    reproduce the reference oracle bit-for-bit, across the independent-group
+    (per-group timeline kernels) and coupled-group (heap scheduler) code
+    paths."""
 
     STRESS = FAILURE_DENSE_STRESS
 
-    def triangulate(self, compiled, table=None, **kwargs):
+    def against_reference(self, compiled, table=None, **kwargs):
         reference = simulate(compiled, RuntimeConfig(engine="reference", **kwargs),
                              table=table)
-        batched = simulate(compiled, RuntimeConfig(engine="vectorized", **kwargs),
-                           table=table)
-        unbatched = run_unbatched(compiled, RuntimeConfig(**kwargs), table=table)
-        assert_results_equivalent(reference, batched)
-        assert_results_equivalent(reference, unbatched)
+        vectorized = simulate(compiled,
+                              RuntimeConfig(engine="vectorized", **kwargs),
+                              table=table)
+        assert_results_equivalent(reference, vectorized)
         return reference
 
     def test_high_density_mixed_sets(self, engine_compiled):
         compiled, table = engine_compiled
-        result = self.triangulate(compiled, table=table, cycles=600, **self.STRESS)
+        result = self.against_reference(compiled, table=table, cycles=600,
+                                        **self.STRESS)
         assert result.total_failures > 100          # the stress must bite
 
     def test_high_density_zero_recompute(self, engine_compiled):
         compiled, table = engine_compiled
         kwargs = dict(self.STRESS, recompute_cycles=0)
-        result = self.triangulate(compiled, table=table, cycles=500, **kwargs)
+        result = self.against_reference(compiled, table=table, cycles=500,
+                                        **kwargs)
         assert result.total_failures > 100
         assert result.total_stall_cycles == 0
 
     def test_high_density_booster_safe(self, engine_compiled):
         compiled, table = engine_compiled
         kwargs = dict(self.STRESS, controller="booster_safe")
-        self.triangulate(compiled, table=table, cycles=500, **kwargs)
+        self.against_reference(compiled, table=table, cycles=500, **kwargs)
 
     def test_independent_groups_take_batched_path(self):
         """Group-contained Sets (sequential mapping, even tiling): every group
-        is processed by the batched per-group runner."""
+        is processed by the per-group timeline kernels."""
         compiled = build_compiled_workload(synthetic_spec("engine-independent"))
         kwargs = dict(cycles=700, **self.STRESS)
         independent, coupled = coupling_of(compiled, RuntimeConfig(**kwargs))
         assert coupled == 0 and independent > 0
-        result = self.triangulate(compiled, **kwargs)
+        result = self.against_reference(compiled, **kwargs)
         assert result.total_failures > 100
 
     def test_straddling_sets_take_heap_path(self):
@@ -180,7 +175,7 @@ class TestFailureDenseEquivalence:
         kwargs = dict(cycles=700, **self.STRESS)
         independent, coupled = coupling_of(compiled, RuntimeConfig(**kwargs))
         assert coupled > 0
-        result = self.triangulate(compiled, **kwargs)
+        result = self.against_reference(compiled, **kwargs)
         assert result.total_failures > 50
         assert result.total_stall_cycles > 0
 
@@ -191,7 +186,7 @@ class TestFailureDenseEquivalence:
             synthetic_spec("engine-mixed", groups=8, n_operators=14,
                            mapping="hr_aware"))
         kwargs = dict(cycles=600, **self.STRESS)
-        self.triangulate(compiled, **kwargs)
+        self.against_reference(compiled, **kwargs)
 
 
 @pytest.fixture
