@@ -19,13 +19,16 @@ points).  This harness pins that regime down as a benchmark:
   speedup bars only count because of it.
 * **Cross-run cache reuse** — a shared-seed beta grid through ``SweepRunner``
   (``seed_mode="shared"``: one (workload, seed) across every beta point) runs
-  once with the level cache disabled and once enabled; records must be
-  bit-identical and the enabled pass must report cache hits.
+  in interleaved cache-disabled / cache-enabled pairs; records must be
+  bit-identical, the enabled passes must report cache hits, and the full-mode
+  bar judges the median of the per-pair speedups (one timing per side moved
+  by more than the effect between identical runs).
 
 Results are written to the ``stress`` section of ``BENCH_runtime.json``
 (merge-preserving — ``bench_runtime_perf`` owns the other sections).
 """
 
+import statistics
 import time
 
 import pytest
@@ -77,6 +80,8 @@ COLD_BAR = 1.5 * REFERENCE_OVER_SCAN_LOOP
 #: The shared-seed beta grid of the cache-reuse measurement.
 CACHE_SWEEP_BETAS = smoke_grid((4, 5, 6, 8))
 CACHE_SWEEP_CYCLES = STRESS_CYCLES // 2
+#: Interleaved cache-disabled / cache-enabled pass pairs per measurement.
+CACHE_SWEEP_PAIRS = 5
 
 
 def _stress_config(engine: str = "vectorized") -> RuntimeConfig:
@@ -88,7 +93,8 @@ def _stress_config(engine: str = "vectorized") -> RuntimeConfig:
 
 
 def _sweep_cache_reuse() -> dict:
-    """Shared-seed beta grid: disabled-cache vs. enabled-cache serial sweeps."""
+    """Shared-seed beta grid: interleaved disabled-cache vs. enabled-cache
+    serial sweeps, summarized by the median per-pair speedup."""
     workload = stress_workload_spec(label="stress-sweep@64")
     spec = SweepSpec(name="stress-beta", workloads=(workload,),
                      controllers=("booster",), modes=(BoosterMode.LOW_POWER,),
@@ -96,36 +102,49 @@ def _sweep_cache_reuse() -> dict:
                      flip_means=(STRESS_FLIP_MEAN,),
                      monitor_noises=(STRESS_MONITOR_NOISE,), seeds=1,
                      master_seed=0, seed_mode="shared")
-    build_compiled_workload(workload)   # exclude compile cost from both passes
+    build_compiled_workload(workload)   # exclude compile cost from all passes
 
-    old_budget = set_level_cache_budget(0)
-    try:
-        # Discarded warm-up: fills the (independent) flip_factor_matrix memo
-        # and any lazy one-time state, so the two timed passes differ only in
-        # the level cache under measurement.
-        SweepRunner(spec, SerialExecutor()).run()
+    def timed_pass():
         start = time.perf_counter()
-        disabled = SweepRunner(spec, SerialExecutor()).run()
-        disabled_seconds = time.perf_counter() - start
-    finally:
-        set_level_cache_budget(old_budget)
+        result = SweepRunner(spec, SerialExecutor()).run()
+        return result, time.perf_counter() - start
 
-    clear_level_cache()
-    start = time.perf_counter()
-    enabled = SweepRunner(spec, SerialExecutor()).run()
-    enabled_seconds = time.perf_counter() - start
-    stats = level_cache_stats()
+    def disabled_pass():
+        old_budget = set_level_cache_budget(0)
+        try:
+            return timed_pass()
+        finally:
+            set_level_cache_budget(old_budget)
 
-    identical = [r.to_json_dict() for r in disabled.sorted_records()] == \
-        [r.to_json_dict() for r in enabled.sorted_records()]
+    # Discarded warm-up: fills the (independent) flip_factor_matrix memo and
+    # any lazy one-time state, so the timed passes differ only in the level
+    # cache under measurement.
+    disabled_pass()
+    disabled_times, enabled_times = [], []
+    identical = True
+    for _ in range(CACHE_SWEEP_PAIRS):
+        disabled, seconds = disabled_pass()
+        disabled_times.append(seconds)
+        clear_level_cache()     # each enabled pass starts cold
+        enabled, seconds = timed_pass()
+        enabled_times.append(seconds)
+        identical = identical and (
+            [r.to_json_dict() for r in disabled.sorted_records()]
+            == [r.to_json_dict() for r in enabled.sorted_records()])
+    stats = level_cache_stats()     # the last enabled pass
+    speedups = [d / e for d, e in zip(disabled_times, enabled_times)]
     return {
         "betas": list(CACHE_SWEEP_BETAS),
         "cycles": CACHE_SWEEP_CYCLES,
         "n_runs": spec.n_runs,
         "seed_mode": spec.seed_mode,
-        "cache_disabled_seconds": disabled_seconds,
-        "cache_enabled_seconds": enabled_seconds,
-        "speedup": disabled_seconds / enabled_seconds,
+        "pairs": CACHE_SWEEP_PAIRS,
+        "cache_disabled_seconds": statistics.median(disabled_times),
+        "cache_disabled_min_max": [min(disabled_times), max(disabled_times)],
+        "cache_enabled_seconds": statistics.median(enabled_times),
+        "cache_enabled_min_max": [min(enabled_times), max(enabled_times)],
+        "speedup": statistics.median(speedups),
+        "speedup_min_max": [min(speedups), max(speedups)],
         "cache_hits": stats["hits"],
         "cache_misses": stats["misses"],
         "cache_entries": stats["entries"],
@@ -200,13 +219,17 @@ def test_stress_failure_path(benchmark):
               "(BENCH_runtime.json: stress)"))
     cache = report["sweep_cache"]
     print(format_table(
-        ["beta grid", "no-cache s", "cached s", "speedup", "hits", "identical"],
+        ["beta grid", "no-cache s", "cached s", "speedup [min-max]", "hits",
+         "identical"],
         [[f"{len(cache['betas'])} betas @{cache['cycles']}",
           f"{cache['cache_disabled_seconds']:.3f}",
           f"{cache['cache_enabled_seconds']:.3f}",
-          format_ratio(cache["speedup"]), str(cache["cache_hits"]),
-          str(cache["records_identical"])]],
-        title="Shared-seed beta-grid sweep: cross-run level-cache reuse"))
+          f"{format_ratio(cache['speedup'])} "
+          f"[{cache['speedup_min_max'][0]:.2f}-"
+          f"{cache['speedup_min_max'][1]:.2f}]",
+          str(cache["cache_hits"]), str(cache["records_identical"])]],
+        title=f"Shared-seed beta-grid sweep: cross-run level-cache reuse "
+              f"(medians of {cache['pairs']} interleaved pairs)"))
 
     # Correctness bars hold in every mode; the perf bars only in the full
     # configuration (smoke horizons have too little failure work to amortize).

@@ -9,10 +9,12 @@ re-binding ``ServiceAPI.handle``, nothing else).
 Endpoints::
 
     POST /jobs                submit {"spec": .., "job_key"?: .., "options"?: ..}
+                              options: {"checkpoint_every"?: int >= 1} — any
+                              other key, or a bad value, is a 400 naming it
                               -> 202 created | 200 attached (idempotent dup)
                               -> 429 + Retry-After (queue full)
                               -> 409 (job_key bound to a different spec)
-                              -> 503 (draining)  | 400 (bad spec)
+                              -> 503 (draining)  | 400 (bad spec or options)
     GET  /jobs                list job statuses
     GET  /jobs/{id}           one job's status                  -> 404 unknown
     GET  /jobs/{id}/result    terminal job's records+aggregates -> 409 not done

@@ -9,7 +9,7 @@ job).  Every lifecycle transition is journaled to the durable write-ahead
 :class:`~repro.service.journal.JobJournal`.
 
 Scheduling is round-based fair share: each round takes up to
-``fair_share_quantum`` work units from every active job, executes the mixed
+``fair_share_quantum`` runs from every active job, executes the mixed
 slice as one executor pass, and routes each outcome back to its owning job's
 :class:`~repro.sweep.runner.SweepPass` — so per-job progress, checkpointing
 and record stores stay fully independent while the fleet interleaves work
@@ -86,17 +86,46 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from ..sweep import faults
 from ..sweep.records import SweepResult
 from ..sweep.runner import (PoolExecutor, SerialExecutor, SweepPass,
-                            SweepRunner, _as_outcomes, _member_runs,
-                            execute_work)
+                            SweepRunner, execute_run)
 from ..sweep.spec import RetryPolicy, SweepSpec
 from .journal import JobJournal
 from .lease import LeaseHeld, StateDirLease
 from .registry import Job, JobRegistry, TERMINAL_STATES
 
 __all__ = ["Backpressure", "LeaseHeld", "ResidentFleet", "ServiceUnavailable",
-           "StateDirLease", "SweepService", "install_signal_handlers"]
+           "StateDirLease", "SweepService", "install_signal_handlers",
+           "validate_job_options"]
 
 logger = logging.getLogger("repro.service")
+
+
+def validate_job_options(options: Optional[Dict]) -> None:
+    """Check a submitted job's ``options`` against the schema.
+
+    The schema is one optional key: ``checkpoint_every``, an ``int`` (not a
+    ``bool``) >= 1.  Raises ``ValueError`` naming the offending key (HTTP
+    400), so a malformed job is refused at admission instead of journaled
+    and failed later.  Only submission is checked: a job an older daemon
+    journaled with since-removed options still replays, and those options
+    are ignored.
+    """
+    if options is None:
+        return
+    if not isinstance(options, dict):
+        raise ValueError("options must be a JSON object, got "
+                         f"{type(options).__name__}")
+    for key, value in options.items():
+        if key == "ensembles":
+            raise ValueError("option 'ensembles' was removed: every sweep "
+                             "runs through the per-run engine; drop the key")
+        if key != "checkpoint_every":
+            raise ValueError(f"unknown option {key!r}; the only job option "
+                             "is 'checkpoint_every'")
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 1:
+            raise ValueError("option 'checkpoint_every' must be an integer "
+                             f">= 1, got {value!r}")
+
 
 Executor = Union[SerialExecutor, PoolExecutor]
 
@@ -169,12 +198,12 @@ class ResidentFleet:
 class _ActiveJob:
     """Scheduler-side state for one job currently sharing the fleet."""
 
-    def __init__(self, job: Job, sweep_pass: SweepPass, pending_items,
+    def __init__(self, job: Job, sweep_pass: SweepPass, pending,
                  store) -> None:
         self.job_id = job.job_id
         self.total_runs = job.total_runs
         self.sweep_pass = sweep_pass
-        self.pending: deque = deque(pending_items)
+        self.pending: deque = deque(pending)
         self.store = store
         self.strikes = 0              #: fleet rebuilds attributed to this job
         self.cancelled = False        #: cancel observed mid-round
@@ -204,7 +233,7 @@ class SweepService:
     """The daemon: journal + registry + bounded queue + resident fleet.
 
     Up to ``max_concurrent`` jobs execute concurrently, interleaved onto the
-    fleet in fair-share rounds of ``fair_share_quantum`` work units per job.
+    fleet in fair-share rounds of ``fair_share_quantum`` runs per job.
     Fault isolation between them is the point: each job has its own record
     store, checkpoint cadence and circuit breaker, so one job's poison runs
     or full disk cannot take its neighbours down.  All public methods are
@@ -234,7 +263,7 @@ class SweepService:
             raise ValueError("max_concurrent must schedule at least one job")
         if fair_share_quantum < 1:
             raise ValueError("fair_share_quantum must take at least one "
-                             "work unit per job per round")
+                             "run per job per round")
         if breaker_budget < 1:
             raise ValueError("breaker_budget must allow at least one "
                              "fleet rebuild before tripping")
@@ -366,9 +395,11 @@ class SweepService:
         fenced by a stolen lease, or disk-degraded — a full disk must not
         be handed new durability obligations it cannot meet.  The spec is
         validated by round-tripping it through
-        :class:`~repro.sweep.spec.SweepSpec` before anything is journaled.
+        :class:`~repro.sweep.spec.SweepSpec`, and ``options`` against
+        :func:`validate_job_options`, before anything is journaled.
         """
         spec = SweepSpec.from_json_dict(spec_dict)   # validates; raises early
+        validate_job_options(options)
         with self._lock:
             existing = (self.registry.find_by_key(job_key)
                         if job_key is not None else None)
@@ -718,13 +749,12 @@ class SweepService:
             spec = SweepSpec.from_json_dict(job.spec)
             from ..store import ShardedRecordStore
             job_store = ShardedRecordStore(store_dir, spec=spec)
-            runner = SweepRunner(spec, self.fleet.executor,
-                                 ensembles=options.get("ensembles", False))
+            runner = SweepRunner(spec, self.fleet.executor)
             sweep_pass = SweepPass(
                 runner, resume_from=resume, store=job_store,
                 checkpoint_every=options.get("checkpoint_every",
                                              self.checkpoint_every))
-            pending_items = sweep_pass.prepare()
+            pending = sweep_pass.prepare()
         except Exception as error:
             logger.exception("service: job %s failed", job_id)
             if job_store is not None:
@@ -732,7 +762,7 @@ class SweepService:
             self.registry.transition("failed", job_id, error=repr(error))
             self._notify_records()
             return None
-        entry = _ActiveJob(job, sweep_pass, pending_items, job_store)
+        entry = _ActiveJob(job, sweep_pass, pending, job_store)
 
         def on_progress(progress, job_id=job_id, entry=entry) -> None:
             self.fleet.beat(job_id)
@@ -749,10 +779,31 @@ class SweepService:
         sweep_pass.progress = on_progress
         return entry
 
+    def _route_outcome(self, outcome, owners: Dict[str, str]) -> None:
+        """Fold one executor outcome into its owning job's sweep pass."""
+        owner = owners.get(outcome.run_id)
+        entry = self._active_jobs.get(owner) if owner is not None else None
+        if entry is None or entry.cancelled:
+            return
+        if self.registry.get(owner).cancel_requested:
+            # Stop folding this job's outcomes right here: its durable
+            # records freeze at the cancel point, like the old per-outcome
+            # drain.
+            entry.cancelled = True
+            return
+        try:
+            entry.sweep_pass.consume(outcome)
+        except Exception as error:
+            logger.exception("service: job %s failed consuming run %s",
+                             owner, outcome.run_id)
+            self._fail_job(owner, error)
+            return
+        self._notify_records()
+
     def _run_round(self) -> None:
         """One fair-share round: slice, execute, route, judge.
 
-        Takes up to ``fair_share_quantum`` work units from every active job
+        Takes up to ``fair_share_quantum`` runs from every active job
         (round-robin), executes the mixed slice as a single executor pass,
         routes each outcome to its owning job's :class:`SweepPass`, then
         settles the round: breakers charged from the pass's fleet-rebuild
@@ -765,7 +816,7 @@ class SweepService:
         for job_id in round_ids:
             if self.registry.get(job_id).cancel_requested:
                 self._cancel_job(job_id)
-        slice_items: List = []
+        slice_runs: List = []
         owners: Dict[str, str] = {}
         with self._lock:
             round_ids = list(self._active_jobs)
@@ -775,18 +826,17 @@ class SweepService:
                 continue
             taken = 0
             while entry.pending and taken < self.fair_share_quantum:
-                item = entry.pending[0]
-                ids = [run.run_id for run in _member_runs(item)]
-                if any(rid in owners for rid in ids):
+                run = entry.pending[0]
+                if run.run_id in owners:
                     # Two jobs sharing a run id (same spec name) cannot fly
                     # in one slice — ownership would be ambiguous.  Defer
                     # this job's remainder a round.
                     break
                 entry.pending.popleft()
-                slice_items.append(item)
-                owners.update((rid, job_id) for rid in ids)
+                slice_runs.append(run)
+                owners[run.run_id] = job_id
                 taken += 1
-        if not slice_items:
+        if not slice_runs:
             for job_id in round_ids:
                 entry = self._active_jobs.get(job_id)
                 if entry is not None and not entry.pending:
@@ -794,32 +844,12 @@ class SweepService:
             return
         executor = self.fleet.executor
         imap = getattr(executor, "imap_unordered", None)
-        stream = imap(execute_work, slice_items) if imap is not None \
-            else iter(executor.map(execute_work, slice_items))
+        stream = imap(execute_run, slice_runs) if imap is not None \
+            else iter(executor.map(execute_run, slice_runs))
         interrupted = False
         try:
             for outcome in stream:
-                for record in _as_outcomes(outcome):
-                    owner = owners.get(record.run_id)
-                    entry = (self._active_jobs.get(owner)
-                             if owner is not None else None)
-                    if entry is None or entry.cancelled:
-                        continue
-                    if self.registry.get(owner).cancel_requested:
-                        # Stop folding this job's outcomes right here: its
-                        # durable records freeze at the cancel point, like
-                        # the old per-outcome drain.
-                        entry.cancelled = True
-                        continue
-                    try:
-                        entry.sweep_pass.consume(record)
-                    except Exception as error:
-                        logger.exception(
-                            "service: job %s failed consuming run %s",
-                            owner, record.run_id)
-                        self._fail_job(owner, error)
-                        continue
-                    self._notify_records()
+                self._route_outcome(outcome, owners)
                 if self._draining.is_set():
                     interrupted = True
                     break

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -82,127 +82,6 @@ __all__ = ["ENGINES", "run_vectorized"]
 
 #: Available simulation engines (``RuntimeConfig.engine``).
 ENGINES = ("vectorized", "reference")
-
-
-class _LazyLevelStreams:
-    """Windowed per-Set candidate key streams for one ``(group, level)``.
-
-    The ensemble's booster span kernel binds boost-ladder levels thousands
-    of times but consumes only a handful of candidates per bind — one peek
-    per Set, at most one selected key per failure — before the level drops
-    back to safe.  Deriving each such level's full candidate pipeline
-    (horizon-wide compare + ``nonzero`` + merge sort + key boxing) is mostly
-    waste, and at ensemble scale the retained streams dominate the batch's
-    memory footprint.  This class materializes a Set's packed-key stream
-    lazily over expanding cycle windows instead, appending to the same
-    ``keys`` list the kernel walks.
-
-    Correctness rests on two invariants.  *Bit-exactness*: a window's fail
-    mask is evaluated with the engine's own candidate expression
-    (:meth:`_VectorizedEngine._fail_cycles_for` semantics — ``drop_array``
-    and the monitor comparison are elementwise, so column slices produce
-    identical floats) and keys pack ``(cycle, row)`` exactly like
-    :func:`~repro.sim.kernels.merge_candidates`.  *Append-only*: windows
-    cover whole cycles and only ever extend forward from ``upto`` (or from
-    the *minimum* frontier across the level's Sets — earlier cycles are
-    permanently ineligible for every Set once all frontiers have passed
-    them), so every new key sorts after every existing one and the kernel's
-    resume indices stay valid.
-
-    The window is shared by all of the group's Sets: one ``drop_array`` +
-    monitor compare over the group's contiguous activity rows extends every
-    Set's key list in lockstep, so when Sets exhaust their streams within
-    the same bind — the common case, since frontiers advance together —
-    only the first pays for the derivation.
-    """
-
-    __slots__ = ("ir_model", "voltage", "frequency", "threshold", "noise",
-                 "block", "lo", "n", "shift", "set_sel", "upto", "step")
-
-    #: first-window cycle count; each consecutive refill doubles the
-    #: window (capped) so sparse streams converge in a few passes.
-    WINDOW = 512
-    WINDOW_MAX = 4096
-
-    def __init__(self, engine: "_VectorizedEngine", gid: int, level: int,
-                 set_arrays: List[np.ndarray]) -> None:
-        pair = engine._pair_for(gid, level)
-        allowed_drop = engine.ir_model.drop(
-            min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
-        self.ir_model = engine.ir_model
-        self.voltage = pair.voltage
-        self.frequency = pair.frequency
-        self.threshold = (pair.voltage - allowed_drop) \
-            + engine.min_voltage_margin
-        self.noise = engine._noise(gid)
-        lo, hi = engine.group_rows[gid]
-        self.block = engine.A[lo:hi]
-        self.lo = lo
-        self.n = engine.n
-        self.shift = engine.row_shift
-        # Per-Set membership over the group's local rows, to split the
-        # window's cycle-major candidate walk into per-Set streams.
-        sels = []
-        for rows in set_arrays:
-            sel = np.zeros(hi - lo, dtype=bool)
-            sel[rows - lo] = True
-            sels.append(sel)
-        self.set_sel = sels
-        self.upto = 0
-        self.step = self.WINDOW
-
-    def refill(self, s: int, fk: int, key_lists: List[List[int]], i: int,
-               min_fk: int) -> int:
-        """Extend the group window until Set ``s`` has a key above frontier
-        ``fk``, returning its index into ``key_lists[s]`` (or the list
-        length once the horizon is exhausted).  ``min_fk`` is the minimum
-        frontier key over all Sets — cycles below it are ineligible for
-        everyone, so the window may skip ahead to it.  Only called when the
-        materialized stream has no key above ``fk``."""
-        n = self.n
-        shift = self.shift
-        lo = self.lo
-        upto = self.upto
-        step = self.step
-        block = self.block
-        voltage = self.voltage
-        noise = self.noise
-        set_sel = self.set_sel
-        keys = key_lists[s]
-        while upto < n:
-            start = min_fk >> shift
-            if start < upto:
-                start = upto
-            end = start + step
-            if end > n:
-                end = n
-            # The reference comparison on a column window (elementwise, so
-            # floats match the full-horizon derivation bit for bit).
-            drop = self.ir_model.drop_array(
-                block[:, start:end], voltage, self.frequency)
-            fail = (voltage - drop) + noise[start:end] < self.threshold
-            # Transposed nonzero walks cycle-major with local rows ascending
-            # within each cycle, so each Set's membership-filtered slice of
-            # the packed keys comes out already in stream order (identical
-            # to a sorted full-horizon merge).
-            c_idx, r_idx = np.nonzero(fail.T)
-            if r_idx.size:
-                keys_all = ((c_idx + start) << shift) | (r_idx + lo)
-                for t, sel in enumerate(set_sel):
-                    part = keys_all[sel[r_idx]]
-                    if part.size:
-                        key_lists[t].extend(part.tolist())
-            upto = end
-            if step < self.WINDOW_MAX:
-                step <<= 1
-            m = len(keys)
-            if i < m and keys[i] <= fk:
-                i = bisect_right(keys, fk, i + 1)
-            if i < m:
-                break
-        self.upto = upto
-        self.step = step
-        return i
 
 
 class _VectorizedEngine:
@@ -226,17 +105,6 @@ class _VectorizedEngine:
     # setup
     # ------------------------------------------------------------------ #
     def _setup(self) -> None:
-        self._setup_structure()
-        self._bind_caches()
-
-    def _setup_structure(self) -> None:
-        """Everything up to (but excluding) the initial physics binds.
-
-        Split from :meth:`_bind_caches` so the ensemble engine
-        (:mod:`repro.sim.ensemble`) can interleave: structure first for every
-        member, then one *batched* physics derivation across the whole batch,
-        then the (now cache-hitting) per-member binds.
-        """
         runtime, cfg = self.runtime, self.cfg
         # The realized-Rtog traces are pure functions of the workload and the
         # flip statistics — shared across runs like the level physics (a beta
@@ -340,13 +208,6 @@ class _VectorizedEngine:
             gid: [self.level[gid]] for gid in self.groups}
 
         self._caches: Dict[Tuple[int, int], LevelEntry] = {}
-        #: ensemble-only: when set, the booster span kernel consumes levels
-        #: it finds no ready entry for through lazily-windowed candidate
-        #: streams instead of deriving the full candidate pipeline (see
-        #: :class:`_LazyLevelStreams`); materialization then derives
-        #: physics-only entries for those levels.  Per-run execution leaves
-        #: this off and is unaffected.
-        self.lazy_ladder = False
 
         # Event bookkeeping.
         inf = self.n
@@ -376,25 +237,10 @@ class _VectorizedEngine:
         self.fail_counts = [0] * self.n_rows
         self.next_fail: Dict[int, int] = {}
 
-    def _bind_caches(self) -> None:
-        """Bind the active level's physics per group (derives on cache miss).
-
-        A memoized entry carrying merged streams binds as-is even without
-        per-row candidates (the ensemble's direct prebuild) — the timeline
-        kernels walk merged keys only, and upgrading here would re-derive
-        exactly the per-row split the prebuild skipped.  A lazy-ladder
-        member binds even a physics-only memo entry: its span kernel
-        windows the level's streams on demand.
-        """
-        #: the active level's cache per group (refreshed on level changes)
-        self.cur_cache = {}
-        for gid in self.groups:
-            cached = self._caches.get((gid, self.level[gid]))
-            if cached is None or (cached.fail_cycles is None
-                                  and cached.merged is None
-                                  and not self.lazy_ladder):
-                cached = self._cache(gid, self.level[gid])
-            self.cur_cache[gid] = cached
+        # Bind the active level's physics per group (derives on cache miss);
+        # refreshed on level changes.
+        self.cur_cache = {gid: self._cache(gid, self.level[gid])
+                          for gid in self.groups}
 
     # ------------------------------------------------------------------ #
     # lazy, cross-run-shared activity forms
@@ -488,29 +334,21 @@ class _VectorizedEngine:
         lookup = level if level in self.table.levels else 100
         return self.table.select_pair(lookup, self.cfg.mode)
 
-    def _fail_mask(self, gid: int, pair: VFPair,
-                   drop_rows: np.ndarray) -> np.ndarray:
-        """The boolean candidate mask at ``pair`` — exactly the reference
-        comparison: ``(V - drop) + noise < (V - allowed) + margin``.  Shared
-        by the full derivation, the physics-only upgrade path, the ensemble's
-        direct stream prebuild and its windowed streams (on column slices),
-        so every consumer evaluates bit-identical floats."""
+    def _fail_cycles_for(self, gid: int, pair: VFPair,
+                         drop_rows: np.ndarray) -> List[np.ndarray]:
+        """Per-row sorted candidate cycles at ``pair`` — exactly the reference
+        comparison: ``(V - drop) + noise < (V - allowed) + margin``."""
         allowed_drop = self.ir_model.drop(
             min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
         threshold = (pair.voltage - allowed_drop) + self.min_voltage_margin
-        return (pair.voltage - drop_rows) + self._noise(gid) < threshold
-
-    def _fail_cycles_for(self, gid: int, pair: VFPair,
-                         drop_rows: np.ndarray) -> List[np.ndarray]:
-        """Per-row sorted candidate cycles at ``pair`` (see ``_fail_mask``)."""
-        fail_rows = self._fail_mask(gid, pair, drop_rows)
+        fail_rows = (pair.voltage - drop_rows) + self._noise(gid) < threshold
         return [np.nonzero(fail_rows[i])[0]
                 for i in range(drop_rows.shape[0])]
 
     def _cache(self, gid: int, level: int) -> LevelEntry:
         key = (gid, level)
         cached = self._caches.get(key)
-        if cached is not None and cached.fail_cycles is not None:
+        if cached is not None:
             return cached
         pair = self._pair_for(gid, level)
         # The physics depends on the pair, not the Algorithm-2 level that
@@ -518,13 +356,6 @@ class _VectorizedEngine:
         shared_key = (self._share_key, gid, pair.level, pair.voltage,
                       pair.frequency)
         entry = LEVEL_CACHE.get(shared_key)
-        if entry is not None and entry.fail_cycles is None:
-            # A physics-only entry (left by an ensemble materialization):
-            # upgrade it in place, reusing its drop matrix and memoized
-            # derived statistics.
-            entry.fail_cycles = self._fail_cycles_for(gid, pair,
-                                                      entry.drop_rows)
-            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
         if entry is None:
             lo, hi = self.group_rows[gid]
             drop_rows = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
@@ -535,81 +366,6 @@ class _VectorizedEngine:
                                fail_cycles=fail_cycles)
             LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
         self._caches[key] = entry
-        return entry
-
-    def _probe_cache(self, gid: int, level: int) -> Optional[LevelEntry]:
-        """A stream-bearing entry if one is already available — in the
-        engine memo or the shared cache — else ``None`` (never derives).
-        Merged streams without per-row candidates qualify (the ensemble's
-        direct prebuild): the span kernel only ever walks merged keys."""
-        key = (gid, level)
-        cached = self._caches.get(key)
-        if cached is not None and (cached.fail_cycles is not None
-                                   or cached.merged is not None):
-            return cached
-        pair = self._pair_for(gid, level)
-        entry = LEVEL_CACHE.get((self._share_key, gid, pair.level,
-                                 pair.voltage, pair.frequency))
-        if entry is None or (entry.fail_cycles is None
-                             and entry.merged is None):
-            return None
-        self._caches[key] = entry
-        return entry
-
-    def _physics_cache(self, gid: int, level: int) -> LevelEntry:
-        """The level's entry for materialization: the full drop matrix (and
-        its lazily-derived statistics) without requiring candidates.
-
-        Levels bound during event processing return their memoized full
-        entry unchanged; levels the ensemble consumed through windowed
-        streams derive a *physics-only* entry here — ``drop_array`` over the
-        same rows as the full derivation, so every float is bit-identical.
-        """
-        key = (gid, level)
-        cached = self._caches.get(key)
-        if cached is not None:
-            return cached
-        pair = self._pair_for(gid, level)
-        shared_key = (self._share_key, gid, pair.level, pair.voltage,
-                      pair.frequency)
-        entry = LEVEL_CACHE.get(shared_key)
-        if entry is None:
-            lo, hi = self.group_rows[gid]
-            drop_rows = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
-                                                 pair.frequency)
-            drop_rows.setflags(write=False)
-            entry = LevelEntry(pair=pair, drop_rows=drop_rows,
-                               fail_cycles=None)
-            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
-        self._caches[key] = entry
-        return entry
-
-    def _prebuild_streams(self, gid: int, level: int) -> LevelEntry:
-        """Physics entry plus merged candidate streams, built directly.
-
-        The ensemble's batched prebuild for *independent* groups: one
-        full-matrix threshold compare and one transposed ``nonzero`` per Set
-        yield each Set's packed-key stream already sorted (cycle-major, and
-        Set rows ascend within a cycle — ``set_rows`` is sorted), skipping
-        the per-row candidate split and the concatenate-and-sort merge of
-        the lazy per-run derivation.  Same mask, same key packing — the
-        exact ints ``merge_candidates`` would produce, so the timeline
-        kernels walk identical streams.  Per-row candidates stay underived;
-        a later per-run consumer upgrades the entry in place via ``_cache``.
-        """
-        entry = self._physics_cache(gid, level)
-        if entry.merged is not None:
-            return entry
-        fail_rows = self._fail_mask(gid, entry.pair, entry.drop_rows)
-        lo, _ = self.group_rows[gid]
-        shift = self.row_shift
-        mask = (1 << shift) - 1
-        merged = []
-        for set_rows in self._group_sets(gid):
-            c_idx, r_idx = np.nonzero(fail_rows[set_rows - lo].T)
-            keys = (c_idx.astype(np.int64) << shift) | set_rows[r_idx]
-            merged.append(MergedCandidates(keys, keys.tolist(), shift, mask))
-        entry.merged = merged
         return entry
 
     # ------------------------------------------------------------------ #
@@ -711,11 +467,10 @@ class _VectorizedEngine:
                              out: List[int]) -> int:
         """Decode and log one Set's selected packed keys (chunked).
 
-        The materialization half of the no-level-change kernel path, shared
-        with the ensemble engine's runs-axis dispatch — per-key failure
-        chunks, per-row failure counts, stall window chunks and the final
-        per-row stall bound.  Returns the last selected cycle (``-1`` when
-        the selection is empty).
+        Shared by both kernel paths — per-key failure chunks, per-row failure
+        counts, stall window chunks and the final per-row stall bound (the
+        selections are time-ordered, so the last one alone determines it).
+        Returns the last selected cycle (``-1`` when the selection is empty).
         """
         if not out:
             return -1
@@ -769,26 +524,14 @@ class _VectorizedEngine:
         n = self.n
         recompute = self.cfg.recompute_cycles
         controller = self.controller
-        stall_end = self.stall_end
-        fail_counts = self.fail_counts
         break_cycles = self.break_cycles[gid]
         break_levels = self.break_levels[gid]
         set_arrays = self._group_sets(gid)
         k = len(set_arrays)
-
-        set_row_lists = [arr.tolist() for arr in set_arrays]
         shift = self.row_shift
-        mask = (1 << shift) - 1
         jump = recompute << shift
 
         level = self.level[gid]
-        cur = self.cur_cache[gid]
-        # A physics-only binding (lazy-ladder members) has no candidate
-        # streams — the level binds windowed below like any other.  Merged
-        # streams alone (the ensemble's direct prebuild) are enough.
-        entries: Dict[int, LevelEntry] = \
-            {level: cur} if (cur.fail_cycles is not None
-                             or cur.merged is not None) else {}
         scan_from = self.scan_from[gid]
         synced = self.synced[gid]
         next_sched = self.next_sched[gid]
@@ -806,37 +549,21 @@ class _VectorizedEngine:
         fks = [frontier_key(scan_from, -1, shift)] * k
         next_f = [n] * k                    # next eligible candidate *cycle*
         level_state: Dict[int, Tuple] = {}
-        lazy = self.lazy_ladder
 
         # NOTE: the warm path of this function (the per-set revalidation
         # loop) is deliberately inlined at its two hot call sites below —
         # the transition branch and the failure branch — because the call
         # overhead alone is measurable at one invocation per level flip.
         # A change to the eligibility logic here must be applied to all
-        # three copies.  Levels consumed through windowed streams (``wins``
-        # not None, ensemble only) refill on window exhaustion; their cached
-        # ``nf_key`` is only ever EXHAUSTED once the horizon truly is, so
-        # the revalidation shortcut stays sound.
+        # three copies.
         def bind(to_level: int, from_cycle: int) -> Tuple:
             state = level_state.get(to_level)
             if state is None:
-                entry = entries.get(to_level)
-                if entry is None:
-                    entry = (self._probe_cache(gid, to_level) if lazy
-                             else self._cache(gid, to_level))
-                    if entry is not None:
-                        entries[to_level] = entry
-                if entry is None:
-                    # No ready entry (ensemble): windowed per-Set streams.
-                    state = ([[] for _ in range(k)], [0] * k, [UNPEEKED] * k,
-                             _LazyLevelStreams(self, gid, to_level,
-                                               set_arrays))
-                else:
-                    merged = self._merged(gid, entry)
-                    state = ([m.keys_list for m in merged], [0] * k,
-                             [UNPEEKED] * k, None)
+                merged = self._merged(gid, self._cache(gid, to_level))
+                state = ([m.keys_list for m in merged], [0] * k,
+                         [UNPEEKED] * k)
                 level_state[to_level] = state
-            key_lists, idxs, nf_key, wins = state
+            key_lists, idxs, nf_key = state
             base = (from_cycle << shift) - 1
             for s in range(k):
                 fk = fks[s]
@@ -852,9 +579,6 @@ class _VectorizedEngine:
                 i = idxs[s]
                 if i < m and keys[i] <= fk:
                     i = bisect_right(keys, fk, i + 1)
-                if i >= m and wins is not None:
-                    i = wins.refill(s, fk, key_lists, i, min(fks))
-                    m = len(keys)
                 idxs[s] = i
                 if i < m:
                     nf_key[s] = keys[i]
@@ -864,7 +588,7 @@ class _VectorizedEngine:
                     next_f[s] = n
             return state
 
-        key_lists, next_i, next_key, cur_wins = bind(level, scan_from)
+        key_lists, next_i, next_key = bind(level, scan_from)
         beta = controller.beta
         gstate = controller.state(gid)
         safe = gstate.safe_level
@@ -874,10 +598,8 @@ class _VectorizedEngine:
         lvl_below = controller.table.level_below
         #: per Set, every committed key of the whole run — decoded and logged
         #: as one array chunk at the end (per-key scalar logging would
-        #: dominate the failure hot path) — and the run's last committed key,
-        #: which alone determines the Set's final stall bound.
+        #: dominate the failure hot path).
         span_keys: List[List[int]] = [[] for _ in range(k)]
-        last_keys = [-1] * k
         single = k == 1
         pair = k == 2
         sets_range = range(k)
@@ -909,10 +631,9 @@ class _VectorizedEngine:
                     # the cold first-sight path).
                     state = level_state.get(new_level)
                     if state is None:
-                        key_lists, next_i, next_key, cur_wins = \
-                            bind(new_level, t)
+                        key_lists, next_i, next_key = bind(new_level, t)
                     else:
-                        key_lists, next_i, next_key, cur_wins = state
+                        key_lists, next_i, next_key = state
                         base = (t << shift) - 1
                         for s in sets_range:
                             fk = fks[s]
@@ -929,10 +650,6 @@ class _VectorizedEngine:
                             i = next_i[s]
                             if i < m and keys[i] <= fk:
                                 i = bisect_right(keys, fk, i + 1)
-                            if i >= m and cur_wins is not None:
-                                i = cur_wins.refill(s, fk, key_lists, i,
-                                                    min(fks))
-                                m = len(keys)
                             next_i[s] = i
                             if i < m:
                                 next_key[s] = keys[i]
@@ -993,7 +710,6 @@ class _VectorizedEngine:
                         if key >= cycle_end_key:
                             break
                         acc.append(key)
-                        last_keys[s] = key
                         fk = key + jump
                         i += 1
                         if recompute > 0:
@@ -1011,9 +727,6 @@ class _VectorizedEngine:
                             if i < m and keys[i] <= fk:
                                 i = bisect_right(keys, fk, i + 1)
                             break
-                    if i >= m and cur_wins is not None:
-                        i = cur_wins.refill(s, fk, key_lists, i, min(fks))
-                        m = len(keys)
                     next_i[s] = i
                     if i < m:
                         next_key[s] = keys[i]
@@ -1030,10 +743,9 @@ class _VectorizedEngine:
                     break_levels.append(safe)
                     state = level_state.get(safe)
                     if state is None:
-                        key_lists, next_i, next_key, cur_wins = \
-                            bind(safe, f + 1)
+                        key_lists, next_i, next_key = bind(safe, f + 1)
                     else:
-                        key_lists, next_i, next_key, cur_wins = state
+                        key_lists, next_i, next_key = state
                         base = ((f + 1) << shift) - 1
                         for s in sets_range:
                             fk = fks[s]
@@ -1050,10 +762,6 @@ class _VectorizedEngine:
                             i = next_i[s]
                             if i < m and keys[i] <= fk:
                                 i = bisect_right(keys, fk, i + 1)
-                            if i >= m and cur_wins is not None:
-                                i = cur_wins.refill(s, fk, key_lists, i,
-                                                    min(fks))
-                                m = len(keys)
                             next_i[s] = i
                             if i < m:
                                 next_key[s] = keys[i]
@@ -1082,49 +790,14 @@ class _VectorizedEngine:
             next_sched = cur + 1 + gap
             scan_from = cur + 1
 
-        if recompute > 0:
-            # Selections are time-ordered per Set, so its last committed key
-            # alone determines the final stall bound per row.
-            for s in range(k):
-                key = last_keys[s]
-                if key >= 0:
-                    c = key >> shift
-                    r = key & mask
-                    for row in set_row_lists[s]:
-                        end = c + recompute + (1 if row <= r else 0)
-                        if end > stall_end[row]:
-                            stall_end[row] = end
-
         # Decode and log every committed selection as one array chunk per
-        # Set (the same materialization shape as the no-level-change kernel
-        # path).
-        for s in range(k):
-            acc = span_keys[s]
-            if not acc:
-                continue
-            sel = np.asarray(acc, dtype=np.int64)
-            sel_c = sel >> shift
-            sel_r = sel & mask
-            self.fail_chunk_rows.append(sel_r)
-            self.fail_chunk_cycles.append(sel_c)
-            for row, count in zip(*(arr.tolist() for arr in
-                                    np.unique(sel_r, return_counts=True))):
-                fail_counts[row] += count
-            if recompute > 0:
-                set_rows = set_arrays[s]
-                starts = sel_c[:, None] + (set_rows[None, :] <= sel_r[:, None])
-                self.stall_chunk_rows.append(np.tile(set_rows, sel_c.size))
-                self.stall_chunk_starts.append(starts.ravel())
-
-        # Write back for the common controller flush and materialization.
-        # A level only ever consumed through windowed streams has no bound
-        # entry; materialization needs just the physics (drop rows), so a
-        # candidates-free entry suffices.
+        # Set (the same materialization as the no-level-change kernel path),
+        # then write back for the common controller flush and
+        # materialization.
+        for set_rows, acc in zip(set_arrays, span_keys):
+            self._apply_set_selection(set_rows, acc)
         self.level[gid] = level
-        entry = entries.get(level)
-        if entry is None:
-            entry = self._physics_cache(gid, level)
-        self.cur_cache[gid] = entry
+        self.cur_cache[gid] = self._cache(gid, level)
         self.scan_from[gid] = scan_from
         self.synced[gid] = synced
         self.next_sched[gid] = next_sched
@@ -1418,13 +1091,12 @@ class _VectorizedEngine:
                 # ``drop_array`` is elementwise, so the column gather yields
                 # the same floats as a full-horizon derivation restricted to
                 # those cycles, and the restricted max is the exact per-row
-                # peak over the visited spans.  No full entry, prefix or row
-                # stats are ever built for any level (the ensemble's
-                # windowed event path never derives them either); the gather
-                # never exceeds the horizon, so even a level covering every
-                # cycle costs one elementwise pass — cheaper than the
-                # prefix-sum/argsort machinery an earlier revision built and
-                # memoized per entry for broadly-visited levels.
+                # peak over the visited spans.  No prefix or row stats are
+                # ever built for any level; the gather never exceeds the
+                # horizon, so even a level covering every cycle costs one
+                # elementwise pass — cheaper than the prefix-sum/argsort
+                # machinery an earlier revision built and memoized per entry
+                # for broadly-visited levels.
                 bases = np.repeat(
                     st_k - np.concatenate(
                         ([0], np.cumsum(span_lens)[:-1])), span_lens)
@@ -1518,7 +1190,7 @@ class _VectorizedEngine:
             if starts.size <= max(4, 2 * distinct_levels.size):
                 for start, end, level in zip(starts.tolist(), ends.tolist(),
                                              levels.tolist()):
-                    cache = self._physics_cache(gid, level)
+                    cache = self._cache(gid, level)
                     drops[lo:hi, start:end] = cache.drop_rows[:, start:end]
                     voltage[start:end] = cache.pair.voltage
                     frequency[start:end] = cache.pair.frequency
@@ -1530,7 +1202,7 @@ class _VectorizedEngine:
                 # are themselves cached across runs (stacking copies every
                 # visited level's drop matrix, which would otherwise dominate
                 # failure-heavy materializations).
-                slot_caches = [self._physics_cache(gid, level)
+                slot_caches = [self._cache(gid, level)
                                for level in distinct_levels.tolist()]
                 slot_of_span = np.searchsorted(distinct_levels, levels)
                 slots = np.repeat(slot_of_span, ends - starts)

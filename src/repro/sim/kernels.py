@@ -55,29 +55,22 @@ from __future__ import annotations
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 __all__ = [
-    "EXHAUSTED_KEY",
     "KERNEL_NAMES",
     "MergedCandidates",
     "active_kernel",
     "frontier_key",
     "merge_candidates",
-    "resume_frontiers_runs",
     "select_failures",
-    "select_failures_runs",
     "set_kernel",
 ]
 
 #: Selectable kernel implementations (``REPRO_KERNEL``).
 KERNEL_NAMES = ("numpy", "numba")
-
-#: Sentinel "no eligible candidate" key of the runs-axis span-resume kernel —
-#: sorts above every real packed key (cycles and rows are far below 2^31).
-EXHAUSTED_KEY = 1 << 62
 
 
 class MergedCandidates(NamedTuple):
@@ -191,122 +184,15 @@ def _select_failures_numpy(merged: MergedCandidates, end_cycle: int,
                                  recompute, frontier)
 
 
-def _select_failures_runs_numpy(streams: Sequence[MergedCandidates],
-                                end_cycles: Sequence[int],
-                                recomputes: Sequence[int],
-                                frontiers: Sequence[int]
-                                ) -> Tuple[List[List[int]], List[int]]:
-    outs: List[List[int]] = []
-    fronts: List[int] = []
-    for merged, end_cycle, recompute, frontier in zip(
-            streams, end_cycles, recomputes, frontiers):
-        out, front = _select_failures_list(merged.keys_list, merged.shift,
-                                           end_cycle, recompute, frontier)
-        outs.append(out)
-        fronts.append(front)
-    return outs, fronts
+KernelImpl = Callable[[MergedCandidates, int, int, int],
+                     Tuple[List[int], int]]
 
 
-def _resume_frontiers_runs_numpy(streams: Sequence[MergedCandidates],
-                                 frontiers: Sequence[int]
-                                 ) -> Tuple[List[int], List[int]]:
-    next_keys: List[int] = []
-    indices: List[int] = []
-    for merged, frontier in zip(streams, frontiers):
-        lst = merged.keys_list
-        i = bisect_right(lst, frontier)
-        indices.append(i)
-        next_keys.append(lst[i] if i < len(lst) else EXHAUSTED_KEY)
-    return next_keys, indices
-
-
-class KernelImpls(NamedTuple):
-    """One implementation family: the scalar kernel plus its runs-axis
-    variants (all three always switch together under :func:`set_kernel`)."""
-
-    select: Callable
-    select_runs: Callable
-    resume_runs: Callable
-
-
-def _stack_streams(streams: Sequence[MergedCandidates]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-run key arrays with ``(n_runs + 1,)`` slice offsets.
-
-    The runs-axis jitted kernels take one flat int64 array so the whole
-    batch crosses the Python/numba boundary once.
-    """
-    offsets = np.zeros(len(streams) + 1, dtype=np.int64)
-    for i, merged in enumerate(streams):
-        offsets[i + 1] = offsets[i] + merged.keys.shape[0]
-    if offsets[-1] == 0:
-        return np.empty(0, dtype=np.int64), offsets
-    return np.concatenate([merged.keys for merged in streams]), offsets
-
-
-def _select_failures_runs_impl(keys: np.ndarray, offsets: np.ndarray,
-                               shift: int, end_cycles: np.ndarray,
-                               recomputes: np.ndarray, frontiers: np.ndarray,
-                               out_keys: np.ndarray, out_counts: np.ndarray,
-                               out_frontiers: np.ndarray) -> None:
-    """Runs-axis greedy selection over stacked streams (numba-compilable).
-
-    Run ``r`` owns ``keys[offsets[r]:offsets[r + 1]]`` and writes its
-    selections into the same slice of ``out_keys`` — each run is exactly
-    :func:`_select_failures_impl`, so the stacked variant is bit-identical
-    to per-run dispatch by construction.
-    """
-    for r in range(offsets.shape[0] - 1):
-        lo = offsets[r]
-        hi = offsets[r + 1]
-        count, frontier = _select_failures_impl(
-            keys[lo:hi], shift, end_cycles[r], recomputes[r], frontiers[r],
-            out_keys[lo:hi])
-        out_counts[r] = count
-        out_frontiers[r] = frontier
-
-
-def _resume_frontiers_runs_impl(keys: np.ndarray, offsets: np.ndarray,
-                                frontiers: np.ndarray, out_keys: np.ndarray,
-                                out_indices: np.ndarray) -> None:
-    """Runs-axis span-resume peek (numba-compilable): per run, the index and
-    value of the first key strictly above its frontier."""
-    for r in range(offsets.shape[0] - 1):
-        lo = offsets[r]
-        hi = offsets[r + 1]
-        i = np.searchsorted(keys[lo:hi], frontiers[r], side="right")
-        out_indices[r] = i
-        if lo + i < hi:
-            out_keys[r] = keys[lo + i]
-        else:
-            out_keys[r] = EXHAUSTED_KEY
-
-
-_NUMPY_IMPLS = KernelImpls(select=_select_failures_numpy,
-                           select_runs=_select_failures_runs_numpy,
-                           resume_runs=_resume_frontiers_runs_numpy)
-
-
-def _uniform_shift(streams: Sequence[MergedCandidates]) -> int:
-    shift = streams[0].shift
-    for merged in streams:
-        if merged.shift != shift:
-            raise ValueError(
-                "runs-axis kernels require a uniform key shift across the "
-                f"stacked streams, got {merged.shift} != {shift}")
-    return shift
-
-
-def _make_numba_impls() -> KernelImpls:
-    """Jit-compile the kernel family (raises ImportError without numba)."""
+def _make_numba_impl() -> KernelImpl:
+    """Jit-compile the kernel (raises ImportError without numba)."""
     import numba
 
     jitted = numba.njit(cache=True)(_select_failures_impl)
-    # The runs-axis loops call the jitted scalar kernel, so exec_globals must
-    # resolve _select_failures_impl to the compiled dispatcher.
-    jitted_runs = numba.njit(cache=False)(
-        _rebind(_select_failures_runs_impl, _select_failures_impl=jitted))
-    jitted_resume = numba.njit(cache=True)(_resume_frontiers_runs_impl)
 
     def run(merged: MergedCandidates, end_cycle: int, recompute: int,
             frontier: int) -> Tuple[List[int], int]:
@@ -316,55 +202,12 @@ def _make_numba_impls() -> KernelImpls:
                                      recompute, frontier, out_keys)
         return out_keys[:count].tolist(), int(new_frontier)
 
-    def run_runs(streams, end_cycles, recomputes, frontiers):
-        if not streams:
-            return [], []
-        shift = _uniform_shift(streams)
-        keys, offsets = _stack_streams(streams)
-        n_runs = len(streams)
-        out_keys = np.empty(keys.shape[0], dtype=np.int64)
-        out_counts = np.zeros(n_runs, dtype=np.int64)
-        out_frontiers = np.empty(n_runs, dtype=np.int64)
-        jitted_runs(keys, offsets, shift,
-                    np.asarray(end_cycles, dtype=np.int64),
-                    np.asarray(recomputes, dtype=np.int64),
-                    np.asarray(frontiers, dtype=np.int64),
-                    out_keys, out_counts, out_frontiers)
-        outs = [out_keys[offsets[r]:offsets[r] + out_counts[r]].tolist()
-                for r in range(n_runs)]
-        return outs, out_frontiers.tolist()
-
-    def run_resume(streams, frontiers):
-        if not streams:
-            return [], []
-        keys, offsets = _stack_streams(streams)
-        n_runs = len(streams)
-        out_keys = np.empty(n_runs, dtype=np.int64)
-        out_indices = np.empty(n_runs, dtype=np.int64)
-        jitted_resume(keys, offsets,
-                      np.asarray(frontiers, dtype=np.int64),
-                      out_keys, out_indices)
-        return out_keys.tolist(), out_indices.tolist()
-
-    return KernelImpls(select=run, select_runs=run_runs,
-                       resume_runs=run_resume)
+    return run
 
 
-def _rebind(fn: Callable, **overrides) -> Callable:
-    """A copy of ``fn`` whose module globals are overlaid with ``overrides``
-    (lets the jitted runs-axis loop call the jitted scalar kernel)."""
-    import types
-    namespace = dict(fn.__globals__)
-    namespace.update(overrides)
-    clone = types.FunctionType(fn.__code__, namespace, fn.__name__,
-                               fn.__defaults__, fn.__closure__)
-    clone.__doc__ = fn.__doc__
-    return clone
-
-
-_IMPLS: Dict[str, KernelImpls] = {"numpy": _NUMPY_IMPLS}
+_IMPLS: Dict[str, KernelImpl] = {"numpy": _select_failures_numpy}
 _active_name = "numpy"
-_active_impls: KernelImpls = _NUMPY_IMPLS
+_active_impl: KernelImpl = _select_failures_numpy
 
 
 def set_kernel(name: str) -> str:
@@ -372,15 +215,14 @@ def set_kernel(name: str) -> str:
 
     ``"numba"`` without the wheel installed emits a ``RuntimeWarning`` and
     keeps the default kernel — the jit is an accelerator, never a dependency.
-    The scalar and runs-axis kernels always switch together.
     """
-    global _active_name, _active_impls
+    global _active_name, _active_impl
     if name not in KERNEL_NAMES:
         raise ValueError(f"unknown kernel {name!r}; known: {KERNEL_NAMES}")
     previous = _active_name
     if name == "numba" and "numba" not in _IMPLS:
         try:
-            _IMPLS["numba"] = _make_numba_impls()
+            _IMPLS["numba"] = _make_numba_impl()
         except ImportError:
             warnings.warn(
                 "REPRO_KERNEL=numba requested but numba is not installed; "
@@ -388,7 +230,7 @@ def set_kernel(name: str) -> str:
                 stacklevel=2)
             name = "numpy"
     _active_name = name
-    _active_impls = _IMPLS[name]
+    _active_impl = _IMPLS[name]
     return previous
 
 
@@ -406,46 +248,7 @@ def select_failures(merged: MergedCandidates, end_cycle: int, recompute: int,
     docstring).  Dispatches to the active implementation
     (:func:`set_kernel`).
     """
-    return _active_impls.select(merged, end_cycle, recompute, frontier)
-
-
-def select_failures_runs(streams: Sequence[MergedCandidates],
-                         end_cycles: Sequence[int],
-                         recomputes: Sequence[int],
-                         frontiers: Sequence[int]
-                         ) -> Tuple[List[List[int]], List[int]]:
-    """Runs-axis :func:`select_failures`: one call resolves many timelines.
-
-    ``streams[r]`` is an independent merged candidate stream — one ensemble
-    member's view of one Set — selected up to ``end_cycles[r]`` with stall
-    window ``recomputes[r]`` from frontier ``frontiers[r]``.  Returns the
-    per-run selections and final frontiers, each run bit-identical to a
-    per-run :func:`select_failures` call; the numba variant crosses the
-    Python boundary once for the whole batch over stacked key arrays.
-    Streams must share one key ``shift`` (they do whenever the runs simulate
-    one workload, which is what the ensemble engine batches).
-    """
-    if not streams:
-        return [], []
-    _uniform_shift(streams)
-    return _active_impls.select_runs(streams, end_cycles, recomputes,
-                                     frontiers)
-
-
-def resume_frontiers_runs(streams: Sequence[MergedCandidates],
-                          frontiers: Sequence[int]
-                          ) -> Tuple[List[int], List[int]]:
-    """Runs-axis span-resume peek: each run's next eligible candidate.
-
-    For every stream, returns the first key strictly greater than its
-    frontier (:data:`EXHAUSTED_KEY` when none is left) together with its
-    index — the bound a span-resume ``bisect`` would have produced.  The
-    ensemble engine uses it to re-arm a whole batch of member timelines in
-    one call when a group's level-stable span opens.
-    """
-    if not streams:
-        return [], []
-    return _active_impls.resume_runs(streams, frontiers)
+    return _active_impl(merged, end_cycle, recompute, frontier)
 
 
 _env_kernel = os.environ.get("REPRO_KERNEL", "").strip().lower()

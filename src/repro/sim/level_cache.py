@@ -4,7 +4,7 @@ Sweeps simulate the same ``(workload, seed, stress settings)`` many times —
 once per beta, per controller, per mode — and every one of those runs derives
 *identical* per-(group, level) arrays from Eq. 2: the drop rows over the
 horizon and the candidate-failure cycle sets (see
-:class:`repro.sim.engine._LevelCache`).  Only the *event dynamics* differ
+:class:`LevelEntry`).  Only the *event dynamics* differ
 between such runs.  This module holds those arrays in a process-level LRU
 keyed on everything the physics actually depends on, so a Fig.-18 beta grid
 (or a multi-controller point) computes each group's physics once per process
@@ -80,13 +80,7 @@ class LevelEntry:
 
     pair: VFPair
     drop_rows: np.ndarray           #: (members, cycles) Eq.-2 drop at this pair
-    #: per member, sorted candidate cycle indices — or ``None`` for a
-    #: *physics-only* entry (drop matrix and its derived statistics, no
-    #: candidate pipeline).  The ensemble engine materializes levels whose
-    #: candidates were consumed through windowed streams from such entries;
-    #: ``_VectorizedEngine._cache`` upgrades one in place on the first run
-    #: that needs the candidate streams.
-    fail_cycles: Optional[List[np.ndarray]]
+    fail_cycles: List[np.ndarray]   #: per member, sorted candidate cycle indices
     #: lazily-built per-Set merged candidate streams (kernel hot path); keyed
     #: implicitly by the owning group's Set partition, which is a pure
     #: function of the workload the entry is already keyed on.
@@ -103,9 +97,6 @@ class LevelEntry:
         event hot paths).  Converted on first use and memoized."""
         lists = self._fail_lists
         if lists is None:
-            if self.fail_cycles is None:
-                raise ValueError(
-                    "physics-only LevelEntry has no candidate cycles")
             lists = [cycles.tolist() for cycles in self.fail_cycles]
             self._fail_lists = lists
         return lists
@@ -179,8 +170,7 @@ class LevelEntry:
         through this one estimator so locally-built and backend-loaded
         entries weigh the same under LRU eviction.
         """
-        cand_bytes = sum(cycles.nbytes for cycles in self.fail_cycles) \
-            if self.fail_cycles is not None else 0
+        cand_bytes = sum(cycles.nbytes for cycles in self.fail_cycles)
         return int(3 * self.drop_rows.nbytes + 7 * cand_bytes + 512)
 
 
@@ -243,16 +233,6 @@ class ByteBudgetCache:
                 return value
         self.misses += 1
         return None
-
-    def peek(self, key: Hashable) -> Optional[object]:
-        """In-memory lookup with no side effects.
-
-        Does not touch the hit/miss counters, the LRU order or the backend —
-        the ensemble engine's batch prebuild uses this to decide which
-        members still need physics derived without perturbing stats or
-        paying a backend round-trip per probe.
-        """
-        return self._entries.get(key)
 
     def _insert(self, key: Hashable, value: object, nbytes: int,
                 count_rejection: bool = True) -> None:

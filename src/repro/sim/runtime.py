@@ -34,8 +34,8 @@ from .compiler import CompiledWorkload
 from .engine import ENGINES, run_vectorized
 from .results import SimulationResult, assemble_result
 
-__all__ = ["RuntimeConfig", "PIMRuntime", "simulate", "simulate_ensemble",
-           "CONTROLLERS", "ENGINES", "TRACE_MODES"]
+__all__ = ["RuntimeConfig", "PIMRuntime", "simulate", "CONTROLLERS",
+           "ENGINES", "TRACE_MODES"]
 
 #: Available power-control strategies.
 CONTROLLERS = ("dvfs", "booster_safe", "booster")
@@ -146,26 +146,6 @@ class PIMRuntime:
     # ------------------------------------------------------------------ #
     # setup helpers
     # ------------------------------------------------------------------ #
-    def _activity_inputs(self) -> tuple:
-        """``(macro_indices, seeds, hrs)`` driving the activity traces.
-
-        The per-macro flip seeds (``seed + 17 * (macro_index + 1)``) and
-        effective HRs in assignment order — shared between
-        :meth:`_macro_activity_traces` and the ensemble engine's batched
-        cross-run activity generation (:mod:`repro.sim.ensemble`).
-        """
-        rng_base = self.config.seed
-        macro_indices: List[int] = []
-        seeds: List[int] = []
-        hrs: List[float] = []
-        for task_id, macro_index in self.compiled.mapping.assignment.items():
-            task = self.compiled.tasks[task_id]
-            macro_indices.append(macro_index)
-            seeds.append(rng_base + 17 * (macro_index + 1))
-            hrs.append(self.config.input_determined_hr
-                       if task.input_determined else task.hamming_rate)
-        return macro_indices, seeds, hrs
-
     def _macro_activity_traces(self) -> Dict[int, np.ndarray]:
         """Per-macro realized Rtog trace over the simulation horizon.
 
@@ -173,12 +153,19 @@ class PIMRuntime:
         :func:`flip_factor_matrix` call (row ``i`` still consumes the same
         per-macro seeded stream as an individual ``flip_factor_sequence``).
         """
-        macro_indices, seeds, hrs = self._activity_inputs()
+        rng_base = self.config.seed
+        assignments = list(self.compiled.mapping.assignment.items())
+        seeds = [rng_base + 17 * (macro_index + 1) for _, macro_index in assignments]
         flips = flip_factor_matrix(
             seeds, self.config.cycles, mean=self.config.flip_mean,
             std=self.config.flip_std, correlation=self.config.flip_correlation)
-        return {macro_index: np.clip(hr * flips[i], 0.0, 1.0)
-                for i, (macro_index, hr) in enumerate(zip(macro_indices, hrs))}
+        traces: Dict[int, np.ndarray] = {}
+        for i, (task_id, macro_index) in enumerate(assignments):
+            task = self.compiled.tasks[task_id]
+            hr = self.config.input_determined_hr if task.input_determined \
+                else task.hamming_rate
+            traces[macro_index] = np.clip(hr * flips[i], 0.0, 1.0)
+        return traces
 
     def _group_members(self, macro_indices: List[int]) -> Dict[int, List[int]]:
         """Group id -> loaded macro indices, in first-encounter order."""
@@ -359,18 +346,3 @@ def simulate(compiled: CompiledWorkload, config: Optional[RuntimeConfig] = None,
              **kwargs) -> SimulationResult:
     """Convenience wrapper: build a :class:`PIMRuntime` and run it."""
     return PIMRuntime(compiled, config, **kwargs).run()
-
-
-def simulate_ensemble(compiled: CompiledWorkload,
-                      configs: List[RuntimeConfig],
-                      **kwargs) -> List[SimulationResult]:
-    """Simulate all configs of one grid point in a single batched pass.
-
-    Dispatches to the ensemble engine (:mod:`repro.sim.ensemble`): setup,
-    activity generation and level physics are derived once per batch, and
-    no-level-change members resolve through the runs-axis timeline kernels.
-    Each returned result is bit-identical (discrete fields; energy to 1e-9
-    rtol) to ``simulate(compiled, cfg, **kwargs)`` for the matching config.
-    """
-    from .ensemble import run_ensemble
-    return run_ensemble(compiled, configs, **kwargs)

@@ -161,8 +161,6 @@ class _Flock:
 def _encode(value: object) -> Optional[Tuple[str, Dict, List[Tuple[str, np.ndarray]]]]:
     """``value -> (kind, meta, named arrays)``; None when not understood."""
     if isinstance(value, LevelEntry):
-        if value.fail_cycles is None:
-            return None            # physics-only entries stay process-local
         cand = (np.concatenate(value.fail_cycles).astype(np.int64)
                 if value.fail_cycles else np.empty(0, dtype=np.int64))
         offsets = np.zeros(len(value.fail_cycles) + 1, dtype=np.int64)

@@ -8,8 +8,10 @@ Figs. 19/20 sweep ablation steps.  This package makes those first-class:
   (workloads x controllers x modes x betas x stress knobs) with a seed
   ensemble, expanded into picklable :class:`~repro.sweep.spec.RunSpec`s with
   ``SeedSequence``-derived per-run seeds;
-* :class:`~repro.sweep.runner.SweepRunner` — executes runs through a pluggable
-  executor (:class:`~repro.sweep.runner.SerialExecutor` or the chunked
+* :class:`~repro.sweep.runner.SweepRunner` — executes runs, one
+  :class:`~repro.sweep.spec.RunSpec` per work unit through
+  :func:`~repro.sweep.runner.execute_run`, on a pluggable executor
+  (:class:`~repro.sweep.runner.SerialExecutor` or the chunked
   :class:`~repro.sweep.runner.PoolExecutor`); workers rebuild workloads from
   specs (:mod:`repro.sweep.builders`) so nothing heavyweight crosses the pipe;
 * :class:`~repro.sweep.records.SweepResult` — per-point mean/std and bootstrap
@@ -56,28 +58,22 @@ from .runner import (
     SerialExecutor,
     SweepProgress,
     SweepRunner,
-    execute_ensemble,
     execute_run,
-    execute_work,
     run_sweeps,
 )
 from .spec import (
-    EnsembleSpec,
     RetryPolicy,
     RunSpec,
     SweepSpec,
     WorkloadSpec,
-    batch_key,
     ensemble_seed,
-    group_into_ensembles,
     run_seed,
 )
 
 __all__ = [
     "SweepSpec", "RunSpec", "WorkloadSpec", "run_seed", "ensemble_seed",
-    "EnsembleSpec", "batch_key", "group_into_ensembles",
     "SweepRunner", "SerialExecutor", "PoolExecutor", "execute_run", "run_sweeps",
-    "execute_ensemble", "execute_work", "ExecutorStats", "SweepProgress",
+    "ExecutorStats", "SweepProgress",
     "SweepResult", "RunRecord", "FailedRun", "MetricStats", "PointSummary",
     "METRIC_NAMES", "RetryPolicy", "bound_traceback",
     "register_workload_builder", "build_compiled_workload", "clear_workload_cache",

@@ -67,12 +67,10 @@ if TYPE_CHECKING:                             # pragma: no cover - typing only
 from . import faults
 from .builders import build_compiled_workload
 from .records import FailedRun, RunRecord, SweepResult
-from .spec import EnsembleSpec, RetryPolicy, RunSpec, SweepSpec, \
-    group_into_ensembles
+from .spec import RetryPolicy, RunSpec, SweepSpec
 
 __all__ = ["ExecutorStats", "SerialExecutor", "PoolExecutor", "SweepPass",
-           "SweepProgress", "SweepRunner", "execute_ensemble", "execute_run",
-           "execute_work", "run_sweeps"]
+           "SweepProgress", "SweepRunner", "execute_run", "run_sweeps"]
 
 #: Progress/throughput log channel (enable with the standard logging config,
 #: e.g. ``logging.getLogger("repro.sweep").setLevel(logging.INFO)``).
@@ -80,14 +78,6 @@ logger = logging.getLogger("repro.sweep")
 
 #: One executor outcome: a completed record or a quarantined failure.
 RunOutcome = Union[RunRecord, FailedRun]
-
-#: One executor work unit: a single run or a batched ensemble of runs.
-WorkItem = Union[RunSpec, EnsembleSpec]
-
-
-def _member_runs(item: WorkItem) -> List[RunSpec]:
-    """The individual runs behind a work item (one for a plain run)."""
-    return list(item.runs) if isinstance(item, EnsembleSpec) else [item]
 
 
 @dataclass
@@ -127,11 +117,6 @@ class SweepProgress:
     checkpointed: bool      #: True when this outcome triggered a checkpoint
 
 
-def _as_outcomes(result) -> List[RunOutcome]:
-    """Normalize a work-item result: one outcome, or an ensemble's list."""
-    return result if isinstance(result, list) else [result]
-
-
 def execute_run(run: RunSpec) -> RunRecord:
     """Simulate one run and summarize it (the unit of executor work).
 
@@ -145,89 +130,18 @@ def execute_run(run: RunSpec) -> RunRecord:
     return RunRecord.from_simulation(run, result)
 
 
-def execute_ensemble(ensemble: EnsembleSpec,
-                     policy: Optional[RetryPolicy] = None,
-                     first_attempt: int = 1) -> List[RunOutcome]:
-    """Simulate one batched ensemble; one outcome per member run, in order.
-
-    The batch path (:func:`repro.sim.ensemble.run_ensemble`) amortizes
-    activity generation and physics derivation across the members and is
-    bit-identical to per-run execution, so records are interchangeable with
-    :func:`execute_run`'s.  Supervision stays *per member*: each member's
-    chaos hook fires under its own ``run_id`` before the batch (fault firing
-    is a pure function of ``(plan, run_id, attempt)``, so the probe matches
-    what :func:`execute_run` would see), and members whose hook fires — or
-    every member, if the batch itself raises — fall back to per-run
-    execution: retried and quarantined under ``policy`` when one is given,
-    raising through otherwise (the unsupervised serial semantics).
-    """
-    from ..sim.ensemble import run_ensemble
-    runs = list(ensemble.runs)
-    healthy: List[RunSpec] = []
-    fallback: List[RunSpec] = []
-    faults.set_current_attempt(first_attempt)
-    try:
-        for run in runs:
-            try:
-                faults.maybe_fail_run(run.run_id)
-            except Exception:
-                fallback.append(run)
-            else:
-                healthy.append(run)
-    finally:
-        faults.set_current_attempt(1)
-    outcomes: Dict[str, RunOutcome] = {}
-    if healthy:
-        try:
-            compiled = build_compiled_workload(healthy[0].workload)
-            results = run_ensemble(
-                compiled, [run.runtime_config() for run in healthy])
-        except Exception as error:
-            logger.warning(
-                "ensemble %s: batched execution failed (%r); falling back "
-                "to per-run execution for its %d member(s)",
-                ensemble.run_id, error, len(healthy))
-            fallback.extend(healthy)
-        else:
-            for run, result in zip(healthy, results):
-                outcomes[run.run_id] = RunRecord.from_simulation(run, result)
-    for run in fallback:
-        if policy is None:
-            outcomes[run.run_id] = execute_run(run)
-        else:
-            outcomes[run.run_id] = _attempt_run(
-                execute_run, run, first_attempt, policy)
-    return [outcomes[run.run_id] for run in runs]
-
-
-def execute_work(item: WorkItem) -> Union[RunRecord, List[RunOutcome]]:
-    """Executor work dispatch: a plain run, or a batched ensemble of runs.
-
-    Module-level (picklable by reference) so the pool executors can map it;
-    consumers flatten the per-ensemble outcome lists back into run records.
-    """
-    if isinstance(item, EnsembleSpec):
-        return execute_ensemble(item)
-    return execute_run(item)
-
-
-def _attempt_run(fn: Callable[[RunSpec], RunRecord], run: WorkItem,
+def _attempt_run(fn: Callable[[RunSpec], RunRecord], run: RunSpec,
                  first_attempt: int, policy: RetryPolicy,
-                 on_retry: Optional[Callable[[], None]] = None,
-                 ) -> Union[RunOutcome, List[RunOutcome]]:
-    """Execute one work item under a retry policy, from ``first_attempt``.
+                 on_retry: Optional[Callable[[], None]] = None) -> RunOutcome:
+    """Execute one run under a retry policy, from ``first_attempt``.
 
     Retries exceptions in place (with the policy's backoff, jittered per
     ``run_id`` when the policy says so) and returns a :class:`FailedRun` when
     the attempt budget is exhausted.  Shared by the serial executor and the
-    pool workers, so serial and pool sweeps quarantine identically.  An
-    :class:`EnsembleSpec` delegates to :func:`execute_ensemble`, which applies
-    the same retry/quarantine semantics per *member* and returns a list of
-    outcomes.  ``on_retry`` (when observable — serial execution) is called
-    once per re-attempt so the executor's stats can count them.
+    pool workers, so serial and pool sweeps quarantine identically.
+    ``on_retry`` (when observable — serial execution) is called once per
+    re-attempt so the executor's stats can count them.
     """
-    if isinstance(run, EnsembleSpec):
-        return execute_ensemble(run, policy=policy, first_attempt=first_attempt)
     attempt = first_attempt
     while True:
         if attempt > first_attempt and on_retry is not None:
@@ -270,27 +184,24 @@ class SerialExecutor:
         self.stats = ExecutorStats()
 
     def map(self, fn: Callable[[RunSpec], RunRecord],
-            runs: Sequence[WorkItem]) -> List[RunOutcome]:
+            runs: Sequence[RunSpec]) -> List[RunOutcome]:
         return list(self.imap_unordered(fn, runs))
 
     def imap_unordered(self, fn: Callable[[RunSpec], RunRecord],
-                       runs: Sequence[WorkItem]) -> Iterator[RunOutcome]:
-        """Yield records one by one as they complete (spec order here).
-
-        Ensemble work items flatten into their per-member outcomes in place.
-        """
+                       runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
+        """Yield records one by one as they complete (spec order here)."""
         self.stats = ExecutorStats()
         if self.retry_policy is None:
             for run in runs:
-                yield from _as_outcomes(fn(run))
+                yield fn(run)
             return
 
         def count_retry() -> None:
             self.stats.retries += 1
 
         for run in runs:
-            yield from _as_outcomes(_attempt_run(fn, run, 1, self.retry_policy,
-                                                 on_retry=count_retry))
+            yield _attempt_run(fn, run, 1, self.retry_policy,
+                               on_retry=count_retry)
 
 
 def _apply_chunk(args) -> List[RunRecord]:
@@ -405,8 +316,8 @@ class PoolExecutor:
     def supervised(self) -> bool:
         return self.retry_policy is not None or self.run_timeout is not None
 
-    def _plan(self, runs: List[WorkItem]):
-        """(context, processes, workload-aligned chunks) for a work list."""
+    def _plan(self, runs: List[RunSpec]):
+        """(context, processes, workload-aligned chunks) for a run list."""
         processes = self.processes or (os.cpu_count() or 1)
         processes = min(processes, len(runs))
         chunksize = self.chunksize or max(1, ceil(len(runs) / (4 * processes)))
@@ -480,7 +391,7 @@ class PoolExecutor:
                 pool.join()
 
     def _supervised_imap(self, fn: Callable[[RunSpec], RunRecord],
-                         runs: List[WorkItem]) -> Iterator[RunOutcome]:
+                         runs: List[RunSpec]) -> Iterator[RunOutcome]:
         """Supervised streaming dispatch (see class docstring).
 
         The invariant that makes per-chunk deadlines meaningful: at most
@@ -507,17 +418,13 @@ class PoolExecutor:
                             _apply_supervised_chunk, ((fn, items, policy),))
                         deadline = None
                         if self.run_timeout is not None:
-                            # An ensemble item is one dispatch but n_runs
-                            # simulations, so its deadline scales with the
-                            # member count (getattr: plain runs count as 1).
                             # Backoff allowance uses the policy's worst case
                             # (jittered delays vary per run).
                             budget = sum(
-                                (self.run_timeout * policy.max_attempts
-                                 + sum(policy.max_delay_before(a) for a in
-                                       range(first, policy.max_attempts + 1)))
-                                * getattr(item, "n_runs", 1)
-                                for item, first in items)
+                                self.run_timeout * policy.max_attempts
+                                + sum(policy.max_delay_before(a) for a in
+                                      range(first, policy.max_attempts + 1))
+                                for _, first in items)
                             deadline = time.monotonic() + budget
                         in_flight.append((handle, items, deadline))
                     in_flight[0][0].wait(0.02)
@@ -533,22 +440,20 @@ class PoolExecutor:
                             # The chunk call itself failed (e.g. the result
                             # did not unpickle) — charge every run an attempt.
                             logger.warning(
-                                "supervised chunk of %d item(s) failed to "
+                                "supervised chunk of %d run(s) failed to "
                                 "return: %r", len(items), error)
                             chunk_traceback = traceback_module.format_exc()
-                            for item, first in items:
-                                for run in _member_runs(item):
-                                    if first >= policy.max_attempts:
-                                        yield FailedRun.from_run(
-                                            run, repr(error), attempts=first,
-                                            traceback=chunk_traceback,
-                                            fault=faults.describe_run_faults(
-                                                run.run_id, first))
-                                    else:
-                                        requeue_single.append((run, first + 1))
+                            for run, first in items:
+                                if first >= policy.max_attempts:
+                                    yield FailedRun.from_run(
+                                        run, repr(error), attempts=first,
+                                        traceback=chunk_traceback,
+                                        fault=faults.describe_run_faults(
+                                            run.run_id, first))
+                                else:
+                                    requeue_single.append((run, first + 1))
                         else:
-                            for item_result in chunk_results:
-                                yield from _as_outcomes(item_result)
+                            yield from chunk_results
                     now = time.monotonic()
                     expired = [e for e in in_flight
                                if e[2] is not None and now > e[2]]
@@ -560,8 +465,7 @@ class PoolExecutor:
                         self.stats.rebuilds = rebuilds
                         self.stats.rebuild_victims.append(
                             [run.run_id for entry in expired
-                             for item, _ in entry[1]
-                             for run in _member_runs(item)])
+                             for run, _ in entry[1]])
                         logger.warning(
                             "sweep pool: %d chunk(s) exceeded their deadline "
                             "(hung run or dead worker); rebuilding fleet "
@@ -575,23 +479,18 @@ class PoolExecutor:
                             if id(entry) not in expired_ids:
                                 queue.append(items)     # innocent: as-is
                                 continue
-                            # Expired ensembles expand into their member
-                            # runs: each member requeues (or quarantines)
-                            # individually, like the singleton requeue below.
-                            for item, first in items:
-                                for run in _member_runs(item):
-                                    if first >= policy.max_attempts:
-                                        yield FailedRun.from_run(
-                                            run,
-                                            f"timed out or lost with a dead "
-                                            f"worker after {first} attempt(s) "
-                                            f"(run_timeout="
-                                            f"{self.run_timeout}s)",
-                                            attempts=first,
-                                            fault=faults.describe_run_faults(
-                                                run.run_id, first))
-                                    else:
-                                        requeue_single.append((run, first + 1))
+                            for run, first in items:
+                                if first >= policy.max_attempts:
+                                    yield FailedRun.from_run(
+                                        run,
+                                        f"timed out or lost with a dead "
+                                        f"worker after {first} attempt(s) "
+                                        f"(run_timeout={self.run_timeout}s)",
+                                        attempts=first,
+                                        fault=faults.describe_run_faults(
+                                            run.run_id, first))
+                                else:
+                                    requeue_single.append((run, first + 1))
                         in_flight = []
                         pool = self._make_pool(context, processes, shared_dir)
                     # Expired runs requeue as singletons so one bad run no
@@ -603,31 +502,26 @@ class PoolExecutor:
                 pool.join()
 
     def map(self, fn: Callable[[RunSpec], RunRecord],
-            runs: Sequence[WorkItem]) -> List[RunOutcome]:
+            runs: Sequence[RunSpec]) -> List[RunOutcome]:
         runs = list(runs)
         if not runs:
             return []
         if self.supervised:
             # Re-establish spec order: supervision completes out of order.
-            # Outcomes are per member run (ensembles flatten in the stream),
-            # so index by member id and group each item's outcomes in place.
-            index = {run.run_id: slot for slot, item in enumerate(runs)
-                     for run in _member_runs(item)}
-            out: List[List[RunOutcome]] = [[] for _ in runs]
+            index = {run.run_id: i for i, run in enumerate(runs)}
+            out: List[Optional[RunOutcome]] = [None] * len(runs)
             for outcome in self._supervised_imap(fn, runs):
-                out[index[outcome.run_id]].append(outcome)
-            return [record for slot in out for record in slot]
+                out[index[outcome.run_id]] = outcome
+            return [o for o in out if o is not None]
         context, processes, chunks = self._plan(runs)
         self._maybe_prebuild(context, runs)
         with self._pool(context, processes) as pool:
             nested = pool.map(_apply_chunk, [(fn, chunk) for chunk in chunks],
                               chunksize=1)
-        return [record for chunk_records in nested
-                for item_result in chunk_records
-                for record in _as_outcomes(item_result)]
+        return [record for chunk_records in nested for record in chunk_records]
 
     def imap_unordered(self, fn: Callable[[RunSpec], RunRecord],
-                       runs: Sequence[WorkItem]) -> Iterator[RunOutcome]:
+                       runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         """Yield records as worker chunks complete, in completion order.
 
         The streaming counterpart of :meth:`map`:
@@ -649,8 +543,7 @@ class PoolExecutor:
             for chunk_records in pool.imap_unordered(
                     _apply_chunk, [(fn, chunk) for chunk in chunks],
                     chunksize=1):
-                for item_result in chunk_records:
-                    yield from _as_outcomes(item_result)
+                yield from chunk_records
 
 
 Executor = Union[SerialExecutor, PoolExecutor]
@@ -661,11 +554,11 @@ class SweepPass:
 
     The decomposition of :meth:`SweepRunner.run` into explicit phases:
     :meth:`prepare` (expand the spec, merge/validate resumed records, open
-    the store, compute the pending work items), :meth:`consume` (per-outcome
+    the store, compute the pending runs), :meth:`consume` (per-outcome
     bookkeeping, quarantine and checkpoint flushing) and
     :meth:`finalize`/:meth:`summarize` (persist, seal a complete pass,
     report).  :meth:`SweepRunner.run` is a thin loop over these phases; the
-    service daemon drives them directly so it can interleave work units from
+    service daemon drives them directly so it can interleave runs from
     *several* jobs onto one shared executor pass while every job keeps its
     own independent resume/checkpoint/seal lifecycle — library and service
     execution share one code path and cannot drift apart.
@@ -699,10 +592,8 @@ class SweepPass:
         self.record_store: Optional["RecordStoreLike"] = None
         self.store_opened_here = False
         self.result: Optional[SweepResult] = None
-        self.work_fn: Callable = execute_run
         self.runs: List[RunSpec] = []
         self.pending: List[RunSpec] = []
-        self.pending_items: Sequence[WorkItem] = []
         self.completed = 0
         self._since_checkpoint = 0
         self._started = 0.0
@@ -711,8 +602,8 @@ class SweepPass:
     # ------------------------------------------------------------------ #
     # phase 1: resume-merge and work planning
     # ------------------------------------------------------------------ #
-    def prepare(self) -> Sequence[WorkItem]:
-        """Expand, resume, open persistence; returns the pending work items."""
+    def prepare(self) -> List[RunSpec]:
+        """Expand, resume, open persistence; returns the pending runs."""
         runner = self.runner
         self.runs = self.spec.expand()
         by_id = {run.run_id: run for run in self.runs}
@@ -750,15 +641,8 @@ class SweepPass:
         done = {record.run_id for record in prior}
         self.pending = [run for run in self.runs if run.run_id not in done]
         self.result = SweepResult(spec=self.spec, records=list(prior))
-        self.work_fn = execute_run
-        self.pending_items = self.pending
-        if runner.ensembles and self.pending:
-            cap = 16 if runner.ensembles is True else int(runner.ensembles)
-            self.pending_items = group_into_ensembles(self.pending,
-                                                      max_members=cap)
-            self.work_fn = execute_work
         self._started = time.perf_counter()
-        return self.pending_items
+        return self.pending
 
     # ------------------------------------------------------------------ #
     # phase 2: per-outcome consumption
@@ -862,24 +746,12 @@ class SweepPass:
 
 
 class SweepRunner:
-    """Expands a :class:`SweepSpec` and drives an executor over its runs.
+    """Expands a :class:`SweepSpec` and drives an executor over its runs."""
 
-    ``ensembles`` switches the executor work unit from single runs to
-    :class:`~repro.sweep.spec.EnsembleSpec` batches: pending runs sharing a
-    grid point's physics (same workload, horizon and flip statistics — see
-    :func:`~repro.sweep.spec.batch_key`) execute through the batched
-    ensemble engine, which amortizes activity generation and physics
-    derivation across members while producing records bit-identical to
-    per-run execution.  ``True`` caps batches at 16 members; an integer sets
-    the cap.  Resume, checkpointing, retry and quarantine semantics are
-    unchanged and stay per member run.
-    """
-
-    def __init__(self, spec: SweepSpec, executor: Optional[Executor] = None,
-                 ensembles: Union[bool, int] = False) -> None:
+    def __init__(self, spec: SweepSpec,
+                 executor: Optional[Executor] = None) -> None:
         self.spec = spec
         self.executor = executor or SerialExecutor()
-        self.ensembles = ensembles
 
     def _validated_prior(self, records: Iterable[RunRecord],
                          by_id: Dict[str, RunSpec]) -> List[RunRecord]:
@@ -979,7 +851,7 @@ class SweepRunner:
                                save_path=save_path,
                                checkpoint_every=checkpoint_every,
                                progress=progress, store=store)
-        pending_items = sweep_pass.prepare()
+        pending = sweep_pass.prepare()
         # Custom executors predating the streaming interface only provide
         # map(); fall back to it — checkpointing then degrades to the
         # end-of-pass (and on-error) saves.
@@ -995,16 +867,12 @@ class SweepRunner:
                 "sweep %s: executor %s lacks imap_unordered; "
                 "checkpoint_every=%d degrades to end-of-pass saves",
                 self.spec.name, type(self.executor).__name__, checkpoint_every)
-        stream = imap(sweep_pass.work_fn, pending_items) if imap is not None \
-            else iter(self.executor.map(sweep_pass.work_fn, pending_items))
+        stream = imap(execute_run, pending) if imap is not None \
+            else iter(self.executor.map(execute_run, pending))
         stopped = False
         try:
             for outcome in stream:
-                # Our executors yield flat per-run outcomes; _as_outcomes
-                # also absorbs a custom executor passing ensemble result
-                # lists through unflattened.
-                for record in _as_outcomes(outcome):
-                    sweep_pass.consume(record)
+                sweep_pass.consume(outcome)
                 if should_stop is not None and should_stop():
                     stopped = True
                     logger.info(

@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["WorkloadSpec", "RunSpec", "SweepSpec", "EnsembleSpec",
-           "RetryPolicy", "run_seed", "ensemble_seed", "group_into_ensembles"]
+__all__ = ["WorkloadSpec", "RunSpec", "SweepSpec", "RetryPolicy", "run_seed",
+           "ensemble_seed"]
 
 
 def run_seed(master_seed: int, point_index: int, seed_index: int) -> int:
@@ -261,92 +261,6 @@ class RunSpec:
             flip_correlation=self.flip_correlation,
             monitor_noise=self.monitor_noise, seed=self.seed,
             traces=self.traces)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A batch of :class:`RunSpec`s resolved in one ensemble-engine pass.
-
-    The runner's work unit for batched execution
-    (:func:`~repro.sweep.runner.execute_ensemble`): all member runs share
-    the compiled workload and the activity-stacking axes
-    (:data:`~repro.sim.ensemble.ENSEMBLE_SHARED_FIELDS`), which is exactly
-    what :func:`group_into_ensembles` guarantees.  Members typically form a
-    grid point's seed ensemble, or — under ``seed_mode="shared"`` — a
-    shared-seed beta/controller grid slice.  Records stay per member
-    (bit-identical to per-run execution), so resume, retry supervision and
-    failure quarantine all keep their per-run granularity.
-
-    Duck-typed like a :class:`RunSpec` where the executors care: ``run_id``
-    labels the batch in timeout/quarantine reporting and ``workload`` drives
-    the pool's chunk planning, so a whole ensemble always lands on one
-    worker with its chip image.
-    """
-
-    runs: Tuple[RunSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.runs:
-            raise ValueError("an EnsembleSpec needs at least one member run")
-        first = self.runs[0]
-        for run in self.runs:
-            if batch_key(run) != batch_key(first):
-                raise ValueError(
-                    "ensemble members must share the workload and activity "
-                    f"axes: {run.run_id} does not batch with {first.run_id}")
-
-    @property
-    def workload(self) -> WorkloadSpec:
-        return self.runs[0].workload
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
-    @property
-    def run_id(self) -> str:
-        first = self.runs[0].run_id
-        if len(self.runs) == 1:
-            return first
-        return f"{first}(+{len(self.runs) - 1})"
-
-
-def batch_key(run: RunSpec) -> Tuple:
-    """Everything two runs must share to execute in one ensemble batch:
-    the workload identity plus the activity-stacking axes (the sweep-level
-    mirror of :data:`repro.sim.ensemble.ENSEMBLE_SHARED_FIELDS`;
-    ``input_determined_hr`` is not a sweep axis)."""
-    return (workload_fingerprint(run.workload), run.cycles, run.flip_mean,
-            run.flip_std, run.flip_correlation)
-
-
-def group_into_ensembles(runs: List[RunSpec],
-                         max_members: int = 16) -> List[EnsembleSpec]:
-    """Group runs into :class:`EnsembleSpec` batches of compatible members.
-
-    Grouping is by :func:`batch_key` (workload + activity axes), preserving
-    expansion order within each batch and capping batches at ``max_members``
-    (bounding the stacked activity/physics working set).  A partial sweep —
-    resume leaves arbitrary subsets pending — simply yields smaller batches;
-    singletons are valid ensembles.
-    """
-    if max_members < 1:
-        raise ValueError("max_members must be positive")
-    by_key: Dict[Tuple, List[RunSpec]] = {}
-    order: List[Tuple] = []
-    for run in runs:
-        key = batch_key(run)
-        if key not in by_key:
-            by_key[key] = []
-            order.append(key)
-        by_key[key].append(run)
-    ensembles: List[EnsembleSpec] = []
-    for key in order:
-        members = by_key[key]
-        for start in range(0, len(members), max_members):
-            ensembles.append(EnsembleSpec(
-                runs=tuple(members[start:start + max_members])))
-    return ensembles
 
 
 @dataclass(frozen=True)

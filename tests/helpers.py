@@ -3,8 +3,8 @@
 Besides the operator factories, this module is the *property-test corpus* for
 the simulation engine suites: one seeded source of randomized scenarios
 (geometry x controller x mode x stress x straddling-Sets) plus the engine
-oracle chain — ``reference -> kernel -> ensemble`` — and
-the equivalence assertions the chain is judged by.  ``tests/test_kernels.py``,
+oracle chain — ``reference -> kernel`` — and the equivalence assertions the
+chain is judged by.  ``tests/test_kernels.py``,
 ``tests/test_sim_engine.py`` and ``tests/test_scalar_records.py`` all draw
 from here, so every suite stresses the same scenario space and a new engine
 variant only has to join the chain once.
@@ -174,25 +174,23 @@ def corpus_scenarios(count: int = 9, master_seed: int = 2025) -> Tuple[Scenario,
 # ---------------------------------------------------------------------- #
 # the engine oracle chain
 # ---------------------------------------------------------------------- #
-#: Every engine variant, oracle first: the reference loop, the vectorized
+#: Every engine variant, oracle first: the reference loop and the vectorized
 #: engine (timeline kernels for independent groups, the heap scheduler for
-#: coupled ones) and the batched ensemble.  Each must stay bit-identical to
-#: the oracle on discrete outcomes.
-ENGINE_VARIANTS = ("reference", "kernel", "ensemble")
+#: coupled ones).  The vectorized engine must stay bit-identical to the
+#: oracle on discrete outcomes.
+ENGINE_VARIANTS = ("reference", "kernel")
 
 
 def run_engine_variant(compiled, variant: str, table=None, **kwargs):
     """Run one simulation through the named engine variant."""
-    from repro.sim import PIMRuntime, RuntimeConfig, run_ensemble, simulate
+    from repro.sim import PIMRuntime, RuntimeConfig, simulate
     from repro.sim.engine import run_vectorized
     if variant == "reference":
         return simulate(compiled, RuntimeConfig(engine="reference", **kwargs),
                         table=table)
-    config = RuntimeConfig(**kwargs)
     if variant == "kernel":
-        return run_vectorized(PIMRuntime(compiled, config, table=table))
-    if variant == "ensemble":
-        return run_ensemble(compiled, [config], table=table)[0]
+        return run_vectorized(PIMRuntime(compiled, RuntimeConfig(**kwargs),
+                                         table=table))
     raise ValueError(f"unknown engine variant {variant!r}")
 
 

@@ -1,13 +1,10 @@
-"""Ensemble work units in the sweep stack.
+"""Seed ensembles in the sweep stack.
 
-Three contracts:
+Two contracts:
 
-* :class:`~repro.sweep.spec.EnsembleSpec` grouping — pending runs batch by
-  shared physics (:func:`~repro.sweep.spec.batch_key`), preserve expansion
-  order, respect the member cap, and refuse mixed-physics members;
 * cross-executor determinism — one randomized mini-sweep executed serial,
-  pooled, supervised-pool-with-injected-faults and ensemble-batched (serial
-  and pooled) produces bit-identical records and aggregates on every path;
+  pooled and supervised-pool-with-injected-faults produces bit-identical
+  records and aggregates on every path;
 * seed derivation — ``run_seed``/``ensemble_seed`` golden values are pinned
   and their ``SeedSequence`` spawn-key shapes stay disjoint, so no future
   refactor can silently reshuffle every sweep in the repo.
@@ -15,23 +12,17 @@ Three contracts:
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.sim import clear_level_cache
 from repro.sweep import (
-    EnsembleSpec,
     PoolExecutor,
     RetryPolicy,
     SerialExecutor,
     SweepRunner,
     SweepSpec,
     WorkloadSpec,
-    batch_key,
     ensemble_seed,
-    execute_ensemble,
-    execute_run,
-    group_into_ensembles,
     run_seed,
 )
 from repro.sweep.faults import FaultSpec, injected_faults
@@ -39,8 +30,8 @@ from repro.sweep.faults import FaultSpec, injected_faults
 
 def mini_spec(seed_mode="per_point", traces="none"):
     """A randomized mini-sweep: two controllers x two betas x three seeds on
-    one synthetic workload — big enough to exercise grouping, small enough
-    for four executor passes in one test."""
+    one synthetic workload — small enough for three executor passes in one
+    test."""
     workload = WorkloadSpec(builder="synthetic", groups=4, macros_per_group=4,
                             banks=4, rows=8, operator_rows=16, n_operators=8,
                             code_spread=30.0, mapping="sequential",
@@ -50,52 +41,6 @@ def mini_spec(seed_mode="per_point", traces="none"):
                      cycles=400, flip_means=(0.8,), monitor_noises=(0.01,),
                      seeds=3, master_seed=13, seed_mode=seed_mode,
                      traces=traces)
-
-
-class TestEnsembleSpec:
-    def test_grouping_preserves_order_and_physics(self):
-        runs = mini_spec().expand()
-        ensembles = group_into_ensembles(runs)
-        flattened = [run for ens in ensembles for run in ens.runs]
-        assert flattened == list(runs)             # expansion order kept
-        assert sum(ens.n_runs for ens in ensembles) == len(runs)
-        for ens in ensembles:
-            keys = {batch_key(run) for run in ens.runs}
-            assert len(keys) == 1
-
-    def test_member_cap(self):
-        runs = mini_spec().expand()
-        ensembles = group_into_ensembles(runs, max_members=4)
-        assert all(ens.n_runs <= 4 for ens in ensembles)
-        assert sum(ens.n_runs for ens in ensembles) == len(runs)
-        with pytest.raises(ValueError):
-            group_into_ensembles(runs, max_members=0)
-
-    def test_singleton_and_run_id(self):
-        runs = mini_spec().expand()
-        single = EnsembleSpec(runs=(runs[0],))
-        assert single.n_runs == 1
-        assert single.run_id == runs[0].run_id
-        pair = EnsembleSpec(runs=tuple(runs[:2]))
-        assert pair.run_id == f"{runs[0].run_id}(+1)"
-        assert pair.workload == runs[0].workload
-
-    def test_mixed_physics_rejected(self):
-        runs = mini_spec().expand()
-        other = dataclasses.replace(runs[1], flip_mean=0.42)
-        with pytest.raises(ValueError):
-            EnsembleSpec(runs=(runs[0], other))
-        with pytest.raises(ValueError):
-            EnsembleSpec(runs=())
-
-    def test_execute_ensemble_matches_execute_run(self):
-        runs = mini_spec().expand()[:4]
-        clear_level_cache()
-        batched = execute_ensemble(EnsembleSpec(runs=tuple(runs)))
-        clear_level_cache()
-        for run, record in zip(runs, batched):
-            assert dataclasses.asdict(record) == \
-                dataclasses.asdict(execute_run(run))
 
 
 class TestCrossExecutorDeterminism:
@@ -126,17 +71,6 @@ class TestCrossExecutorDeterminism:
             passes["supervised+faults"] = SweepRunner(
                 spec, PoolExecutor(processes=2, retry_policy=policy,
                                    run_timeout=60.0)).run()
-        clear_level_cache()
-        passes["ensemble-serial"] = SweepRunner(
-            spec, SerialExecutor(), ensembles=True).run()
-        clear_level_cache()
-        passes["ensemble-pool"] = SweepRunner(
-            spec, PoolExecutor(processes=2), ensembles=4).run()
-        clear_level_cache()
-        with injected_faults(fault):
-            passes["ensemble-supervised+faults"] = SweepRunner(
-                spec, PoolExecutor(processes=2, retry_policy=policy,
-                                   run_timeout=60.0), ensembles=True).run()
 
         base_records = self.records_of(baseline)
         base_aggregates = self.aggregates_of(baseline)
@@ -144,21 +78,6 @@ class TestCrossExecutorDeterminism:
             assert not result.failed_runs, name
             assert self.records_of(result) == base_records, name
             assert self.aggregates_of(result) == base_aggregates, name
-
-    def test_ensemble_resume_completes_partial_groups(self, tmp_path):
-        """A checkpoint from a per-run pass resumes under ensemble batching
-        (partial groups) with bit-identical final records."""
-        spec = mini_spec()
-        clear_level_cache()
-        baseline = SweepRunner(spec, SerialExecutor()).run()
-        path = str(tmp_path / "ck.json")
-        kept = baseline.sorted_records()[: len(baseline.records) // 2]
-        checkpoint = type(baseline)(spec=spec, records=list(kept))
-        checkpoint.save(path)
-        clear_level_cache()
-        resumed = SweepRunner(spec, SerialExecutor(), ensembles=True) \
-            .run(resume_from=path)
-        assert self.records_of(resumed) == self.records_of(baseline)
 
 
 class TestSeedDerivation:

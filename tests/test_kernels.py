@@ -3,9 +3,8 @@
 Two layers: direct unit tests of the greedy min-gap selection
 (:mod:`repro.sim.kernels`) against a brute-force model of the reference
 semantics, and randomized end-to-end property tests over the shared corpus
-(``tests.helpers``) asserting the full oracle chain — reference == kernel ==
-ensemble, bit for bit — on failure-dense workloads
-across all controllers, including multi-macro Sets and group-straddling Sets
+(``tests.helpers``) asserting the full oracle chain — reference == kernel,
+bit for bit — on failure-dense workloads across all controllers, including multi-macro Sets and group-straddling Sets
 (which route around the kernels through the heap scheduler, and must keep
 agreeing when both paths mix in one run).
 """
@@ -244,11 +243,13 @@ class TestKernelEngineEquivalence:
 
 
 class TestOracleChainCorpus:
-    """The unified differential test: every engine variant — reference,
-    kernel and the batched ensemble — over the one seeded
-    scenario corpus (geometry x controller x mode x stress x coupling)."""
+    """The unified differential test: every engine variant — the reference
+    oracle and the vectorized kernel engine — over the one seeded scenario
+    corpus (geometry x controller x mode x stress x coupling)."""
 
     @pytest.mark.parametrize("scenario", corpus_scenarios(),
                              ids=lambda s: s.label)
     def test_five_engine_variants_agree(self, scenario):
+        """Every :data:`~tests.helpers.ENGINE_VARIANTS` entry agrees with the
+        oracle (the name predates the chain's trim to two links)."""
         assert_oracle_chain(scenario.compiled(), **scenario.kwargs)

@@ -539,6 +539,85 @@ class TestServiceLifecycle:
 
 
 # --------------------------------------------------------------------- #
+# job options: validated at admission, tolerated on replay
+# --------------------------------------------------------------------- #
+class TestJobOptions:
+    """``options`` is a one-key schema (``checkpoint_every``, an int >= 1).
+    A violation is a 400 naming the key, refused before anything is
+    journaled; a job an older daemon journaled with since-removed options
+    still replays to completion."""
+
+    @pytest.mark.parametrize("options, key", [
+        pytest.param({"checkpoint_every": 0}, "checkpoint_every", id="zero"),
+        pytest.param({"checkpoint_every": -3}, "checkpoint_every",
+                     id="negative"),
+        pytest.param({"checkpoint_every": "x"}, "checkpoint_every",
+                     id="string"),
+        pytest.param({"checkpoint_every": 2.0}, "checkpoint_every",
+                     id="float"),
+        pytest.param({"checkpoint_every": True}, "checkpoint_every",
+                     id="bool"),
+        pytest.param({"ensembles": "yes"}, "ensembles", id="ensembles"),
+        pytest.param({"ensembles": True, "checkpoint_every": 2}, "ensembles",
+                     id="ensembles-with-valid-key"),
+        pytest.param({"bogus": 1}, "bogus", id="unknown-key"),
+        pytest.param(["checkpoint_every"], "options", id="not-an-object"),
+    ])
+    def test_malformed_options_are_400_and_never_journaled(
+            self, tmp_path, options, key):
+        service = SweepService(str(tmp_path))   # not started: admission only
+        try:
+            client = InProcessClient(ServiceAPI(service))
+            with pytest.raises(ServiceError) as info:
+                client.submit(tiny_spec(), job_key="bad", options=options)
+            assert info.value.status == 400
+            assert key in info.value.payload["error"]
+            if key == "ensembles":
+                assert "removed" in info.value.payload["error"]
+            assert service.jobs() == []
+        finally:
+            service.journal.close()
+        # The journal file opens lazily: absent means nothing was journaled.
+        if (tmp_path / "journal.jsonl").exists():
+            assert not [e for e in journal_events(str(tmp_path))
+                        if e["event"] == "submit"]
+
+    @pytest.mark.parametrize("options", [None, {}, {"checkpoint_every": 3}])
+    def test_wellformed_options_are_admitted(self, tmp_path, options):
+        service = SweepService(str(tmp_path))   # not started: admission only
+        try:
+            client = InProcessClient(ServiceAPI(service))
+            job = client.submit(tiny_spec(), job_key="ok", options=options)
+            assert job["created"] and job["state"] == "admitted"
+            assert service.registry.get(job["job_id"]).options == \
+                dict(options or {})
+        finally:
+            service.journal.close()
+
+    def test_journaled_ensembles_option_replays_to_completion(
+            self, tmp_path, baseline):
+        # An older daemon admitted the job with the since-removed option
+        # and stopped before running it (bypassing today's submit check).
+        older = SweepService(str(tmp_path))
+        job, _ = older.registry.submit(
+            tiny_spec().to_json_dict(), job_key="old",
+            options={"ensembles": True, "checkpoint_every": 1},
+            total_runs=tiny_spec().n_runs)
+        older.registry.transition("admit", job.job_id)
+        older.journal.close()
+
+        service = SweepService(str(tmp_path)).start()
+        try:
+            final = service.wait_for(job.job_id, timeout=60)
+            assert final["state"] == "done"
+            assert final["recoveries"] == 1
+            stored = service_records(str(tmp_path), job.job_id)
+            assert records_as_dicts(stored) == records_as_dicts(baseline)
+        finally:
+            service.shutdown(timeout=30)
+
+
+# --------------------------------------------------------------------- #
 # HTTP transport
 # --------------------------------------------------------------------- #
 class TestHTTPTransport:
